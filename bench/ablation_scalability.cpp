@@ -23,6 +23,7 @@
 #include "bench_util.hpp"
 #include "coord/controller.hpp"
 #include "coord/fabric.hpp"
+#include "sim/sharded.hpp"
 
 namespace {
 
@@ -153,10 +154,12 @@ main(int argc, char **argv)
             const auto topo = t == 0
                 ? corm::coord::FabricTopology::star
                 : corm::coord::FabricTopology::mesh;
-            corm::sim::Simulator sim;
-            corm::coord::CoordFabric fabric(sim, topo,
-                                            10 * corm::sim::usec,
-                                            /*hub=*/1);
+            corm::coord::FabricParams fp;
+            fp.topology = topo;
+            fp.hopLatency = 10 * corm::sim::usec;
+            fp.hub = 1;
+            corm::sim::ShardedEngine engine(1, fp.hopLatency);
+            corm::coord::CoordFabric fabric(engine, fp);
             std::vector<std::unique_ptr<CountingIsland>> islands;
             for (int i = 0; i < n; ++i) {
                 islands.push_back(std::make_unique<CountingIsland>(
@@ -179,7 +182,8 @@ main(int argc, char **argv)
                 m.value = 1.0;
                 fabric.send(m);
             }
-            sim.runToCompletion();
+            // Every send leaves at t=0 and crosses at most two hops.
+            engine.runFor(1 * corm::sim::sec);
             lat[t] = fabric.stats().deliveryLatencyUs.mean();
             if (t == 0)
                 relays = fabric.stats().hubRelays.value();

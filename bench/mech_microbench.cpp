@@ -17,6 +17,7 @@
 #include "coord/message.hpp"
 #include "platform/scenarios.hpp"
 #include "platform/testbed.hpp"
+#include "sim/sharded.hpp"
 #include "sim/simulator.hpp"
 #include "xen/sched.hpp"
 
@@ -245,9 +246,11 @@ BM_FabricMeshSend(benchmark::State &state)
 {
     // Host cost per simulated fabric message across N islands.
     const int n = static_cast<int>(state.range(0));
-    sim::Simulator simulator;
-    coord::CoordFabric fabric(simulator, coord::FabricTopology::mesh,
-                              10 * sim::usec);
+    sim::ShardedEngine engine(1, 10 * sim::usec);
+    coord::FabricParams fp;
+    fp.topology = coord::FabricTopology::mesh;
+    fp.hopLatency = 10 * sim::usec;
+    coord::CoordFabric fabric(engine, fp);
     struct Sink : coord::ResourceIsland
     {
         coord::IslandId id_;
@@ -271,7 +274,7 @@ BM_FabricMeshSend(benchmark::State &state)
     m.value = 1.0;
     for (auto _ : state) {
         fabric.send(m);
-        simulator.runFor(20 * sim::usec);
+        engine.runFor(20 * sim::usec);
     }
     benchmark::DoNotOptimize(fabric.stats().delivered.value());
 }

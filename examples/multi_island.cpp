@@ -18,6 +18,7 @@
 #include "coord/controller.hpp"
 #include "coord/fabric.hpp"
 #include "coord/policy.hpp"
+#include "sim/sharded.hpp"
 #include "sim/simulator.hpp"
 #include "xen/island.hpp"
 #include "xen/sched.hpp"
@@ -66,7 +67,11 @@ main()
 {
     using namespace corm;
 
-    sim::Simulator simulator;
+    // Every island runs on a 1-shard engine: its simulator drives the
+    // x86 scheduler too, and the engine's windowed loop carries the
+    // fabric's hops (one window per hop latency at most).
+    sim::ShardedEngine engine(1, 10 * sim::usec);
+    sim::Simulator &simulator = engine.sim(0);
 
     // Island 1: x86 compute under the credit scheduler.
     xen::CreditScheduler sched(simulator, 2);
@@ -85,8 +90,10 @@ main()
     }
 
     // The fabric: a mesh, as hardware-supported queues would give.
-    coord::CoordFabric fabric(simulator, coord::FabricTopology::mesh,
-                              10 * sim::usec);
+    coord::FabricParams fp;
+    fp.topology = coord::FabricTopology::mesh;
+    fp.hopLatency = 10 * sim::usec;
+    coord::CoordFabric fabric(engine, fp);
     fabric.attach(x86);
     for (auto &a : accels)
         fabric.attach(*a);
@@ -122,7 +129,7 @@ main()
         policy.onPeriodic(simulator.now());
     });
 
-    simulator.runUntil(5 * sim::sec);
+    engine.runUntil(5 * sim::sec);
     double total = x86.currentPowerWatts();
     for (auto &a : accels)
         total += a->currentPowerWatts();

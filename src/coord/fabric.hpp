@@ -24,16 +24,21 @@
  *    registrations and sequenced messages bypass aggregation on the
  *    low-latency path.
  *
- * Unlike the earlier toy fabric, every edge is a real pair of
- * interconnect Mailboxes: per-link FaultPlan weather applies below
- * the message semantics, a link-layer replay budget (modelling PCIe
- * DLLP ACK/NAK retry) re-sends fault-eaten wire messages with
- * exponential backoff, causal trace spans are carried hop by hop,
- * and the mailboxes' activity observers feed health-monitor stall
- * watchdogs (see forEachLane). Delivery semantics match
- * CoordChannel: Tune/Trigger dispatch to the destination island,
- * sequenced messages are acknowledged and deduplicated at the
- * endpoint, registrations install bindings and are always acked.
+ * The fabric runs on a corm::sim::ShardedEngine: islands are placed
+ * on the engine's shard simulators, and every edge is a pair of
+ * directional lanes whose wire hops travel as engine boundary
+ * messages — same-shard hops included, so the event set (and every
+ * scenario digest) is the same for any shard count. A 1-shard
+ * engine is the single-threaded configuration. Per-link FaultPlan
+ * weather applies below the message semantics, a link-layer replay
+ * budget (modelling PCIe DLLP ACK/NAK retry) re-sends fault-eaten
+ * wire messages with exponential backoff, causal trace spans are
+ * carried hop by hop, and per-lane activity logs feed health-monitor
+ * stall watchdogs at window barriers (see drainLaneActivity).
+ * Delivery semantics match CoordChannel: Tune/Trigger dispatch to
+ * the destination island, sequenced messages are acknowledged and
+ * deduplicated at the endpoint, registrations install bindings and
+ * are always acked.
  *
  * Membership is dynamic (DESIGN.md §13): islands join() and leave()
  * at runtime, tree hubs crash() with their orphans re-parented to a
@@ -66,7 +71,6 @@
 #include "coord/message.hpp"
 #include "coord/transport.hpp"
 #include "interconnect/faults.hpp"
-#include "interconnect/msgring.hpp"
 #include "obs/trace.hpp"
 #include "sim/log.hpp"
 #include "sim/random.hpp"
@@ -152,7 +156,7 @@ struct FabricParams
      * own parent, then to the tree root.
      */
     IslandId fallbackParent = 0;
-    /** Name prefix of the per-link mailboxes (stats, logs, lanes). */
+    /** Name prefix of the lanes and trace tracks ("<name>.<from>-<to>"). */
     std::string name = "fabric";
 };
 
@@ -198,19 +202,46 @@ struct FabricStats
  * per-link fault weather, link-layer replay and (tree) hub-side
  * Tune aggregation. Implements CoordTransport, so ReliableSender /
  * ReliableAnnouncer run over it unchanged.
+ *
+ * Threading contract (it only bites with more than one shard):
+ *
+ *  - send(msg) must execute on the shard owning msg.src, which falls
+ *    out naturally when workload events are scheduled on the source
+ *    island's shard simulator (or when sending between runs);
+ *  - churn calls (join/leave/crash/migrateEntity/churnTick/
+ *    reparentNow), drainAbandoned() and drainLaneActivity() run on
+ *    the coordinator: between runs or from the engine's barrier
+ *    probe, never from a shard event;
+ *  - abandon notifications are queued per shard and reach the
+ *    abandon observer only at drainAbandoned().
  */
 class CoordFabric : public CoordTransport
 {
   public:
-    /** Compatibility constructor (star/mesh call sites). */
-    CoordFabric(corm::sim::Simulator &simulator, FabricTopology topology,
-                corm::sim::Tick hop_latency, IslandId hub = 0)
-        : CoordFabric(simulator, makeParams(topology, hop_latency, hub))
-    {}
-
-    CoordFabric(corm::sim::Simulator &simulator, FabricParams params)
-        : sim(simulator), cfg(std::move(params))
-    {}
+    /**
+     * @param engine Runs every island's events; a 1-shard engine for
+     *        single-threaded use. Its lookahead must not exceed
+     *        params.hopLatency (a hop is the minimum cross-shard
+     *        interaction latency).
+     * @param params Topology, latency, weather, replay budget.
+     * @param shardOfNode Island id -> shard. Ids past its end (every
+     *        id, when empty) live on shard 0.
+     */
+    CoordFabric(corm::sim::ShardedEngine &engine, FabricParams params,
+                std::vector<int> shardOfNode = {})
+        : engine_(engine), cfg(std::move(params)),
+          states(static_cast<std::size_t>(engine.shardCount())),
+          shardOf(std::move(shardOfNode))
+    {
+        // A larger lookahead would let a shard run past an incoming
+        // message.
+        assert(engine.lookahead() <= cfg.hopLatency);
+        for (int i = 0; i < engine.shardCount(); ++i) {
+            engine.setSink(i, [this](const corm::sim::ShardMessage &m) {
+                onLaneDeliver(m);
+            });
+        }
+    }
 
     CoordFabric(const CoordFabric &) = delete;
     CoordFabric &operator=(const CoordFabric &) = delete;
@@ -257,8 +288,8 @@ class CoordFabric : public CoordTransport
         }
         if (msg.dst == msg.src) {
             // Loopback: no link; model one hop of latency. Stays on
-            // the source's own simulator in sharded mode (a node is
-            // never split across shards), so no boundary crossing.
+            // the source's own simulator (a node is never split
+            // across shards), so no boundary crossing.
             corm::sim::Simulator &s = simFor(msg.src);
             s.schedule(cfg.hopLatency, [this, msg, &s] {
                 finalDeliver(msg, s.now() - cfg.hopLatency, 1);
@@ -274,13 +305,6 @@ class CoordFabric : public CoordTransport
                    std::function<void(const CoordMessage &)> fn) override
     {
         ackObservers[endpoint] = std::move(fn);
-    }
-
-    /** Legacy catch-all ack observer (sees acks at every endpoint). */
-    void
-    setAckObserver(std::function<void(const CoordMessage &)> fn)
-    {
-        catchAllAckObserver = std::move(fn);
     }
 
     /**
@@ -315,9 +339,9 @@ class CoordFabric : public CoordTransport
     }
 
     /**
-     * Record a retransmission performed by the reliable layer. In
-     * sharded mode the reliable senders all live at the hub (shard
-     * 0), so charging shard 0's counter is race-free.
+     * Record a retransmission performed by the reliable layer.
+     * Reliable senders live on shard 0 (the scenario homes them at
+     * the root), so charging shard 0's counter is race-free.
      */
     void noteRetransmit() override { states[0].stats.retries.add(); }
 
@@ -330,27 +354,22 @@ class CoordFabric : public CoordTransport
     void setAbandonObserver(AbandonFn fn) { onAbandon = std::move(fn); }
 
     /**
-     * Attach a trace recorder (nullptr detaches): per-link hop
-     * slices, relay flow steps, aggregation fold/flush markers and
-     * drop/replay/abandon instants. Spans survive multi-hop relays
-     * because the id rides each mailbox's side-band.
-     */
-    void setTrace(corm::obs::TraceRecorder *recorder) { rec_ = recorder; }
-
-    /**
-     * Sharded-mode tracing: one window-local recorder per shard
-     * (obs/shardcapture.hpp). During a window each shard's wire
-     * instrumentation writes only its own recorder; the capture
-     * merges them at barriers. Hop slices are emitted at transmit
-     * time (the sender knows the delivery tick) on *directional*
-     * lane tracks ("<name>.<from>-<to>"), so every track has exactly
-     * one writing shard and the merged trace is byte-identical for
-     * any shard count. Call after enableSharding().
+     * Attach one trace recorder per shard (nullptrs detach): per-lane
+     * hop slices, relay flow steps, aggregation fold/flush markers
+     * and drop/replay/abandon instants. Spans survive multi-hop
+     * relays because the id rides each boundary message's side-band.
+     * With several shards pass window-local recorders
+     * (obs/shardcapture.hpp), merged at barriers; a 1-shard engine
+     * may record straight into the final recorder. Hop slices are
+     * emitted at transmit time (the sender knows the delivery tick)
+     * on *directional* lane tracks ("<name>.<from>-<to>"), so every
+     * track has exactly one writing shard and the merged trace is
+     * byte-identical for any shard count.
      */
     void
     setShardTrace(const std::vector<corm::obs::TraceRecorder *> &recs)
     {
-        assert(sharded() && recs.size() == states.size());
+        assert(recs.size() == states.size());
         for (std::size_t k = 0; k < states.size(); ++k)
             states[k].rec = recs[k];
     }
@@ -404,9 +423,9 @@ class CoordFabric : public CoordTransport
 
     /**
      * Visit every directional lane as (name, lane id), in the
-     * deterministic link-key order — the sharded counterpart of
-     * forEachLane for monitor lane registration, where lane ids are
-     * how drainLaneActivity identifies lanes.
+     * deterministic link-key order — monitor lane registration,
+     * where lane ids are how drainLaneActivity identifies lanes.
+     * Lane names are "<name>.<from>-<to>".
      */
     void
     forEachLaneId(
@@ -415,65 +434,18 @@ class CoordFabric : public CoordTransport
     {
         ensureBuilt();
         for (auto &[key, link] : links) {
-            fn(link->loToHi.name(), link->laneLoHi.id);
-            fn(link->hiToLo.name(), link->laneHiLo.id);
+            fn(laneName(link.lo, link.hi), link.laneLoHi.id);
+            fn(laneName(link.hi, link.lo), link.laneHiLo.id);
         }
     }
 
     /**
-     * Switch the fabric into sharded-parallel mode: islands are
-     * partitioned across the engine's shard simulators per
-     * @p shardOfNode (indexed by island id), and every wire hop is
-     * carried as a boundary message through the engine instead of a
-     * Mailbox — including same-shard hops, so the event-ordering
-     * structure (and therefore every scenario digest) is identical
-     * for any shard count. Call after every island is attached and
-     * before any traffic. Constraints in sharded mode:
-     *
-     *  - the engine's lookahead must not exceed hopLatency (a hop is
-     *    the minimum cross-shard interaction latency);
-     *  - tracing uses per-shard window recorders (setShardTrace), not
-     *    setTrace: a single recorder would race across workers. Lane
-     *    monitoring runs off drainLaneActivity at barriers, not
-     *    Mailbox observers (no Mailboxes are exercised);
-     *  - send(msg) must execute on the shard owning msg.src, which
-     *    falls out naturally when workload events are scheduled on
-     *    the source island's shard simulator;
-     *  - abandon notifications are queued per shard and handed to
-     *    the abandon observer only at drainAbandoned(), which the
-     *    runner must call from the engine's barrier probe.
-     */
-    void
-    enableSharding(corm::sim::ShardedEngine &engine,
-                   const std::vector<int> &shardOfNode)
-    {
-        engine_ = &engine;
-        shardOf = shardOfNode;
-        states.clear();
-        states.resize(static_cast<std::size_t>(engine.shardCount()));
-        ensureBuilt();
-        // One hop is the minimum cross-shard latency; a larger
-        // lookahead would let a shard run past an incoming message.
-        assert(engine.lookahead() <= cfg.hopLatency);
-        assert(rec_ == nullptr
-               && "sharded mode traces via setShardTrace, not setTrace");
-        for (int i = 0; i < engine.shardCount(); ++i) {
-            engine.setSink(i, [this](const corm::sim::ShardMessage &m) {
-                onLaneDeliver(m);
-            });
-        }
-    }
-
-    /** True once enableSharding() has been called. */
-    bool sharded() const { return engine_ != nullptr; }
-
-    /**
-     * Sharded mode: deliver queued abandon notifications to the
-     * abandon observer in canonical (when, lane, program-order)
-     * order — the same placement-independent sort the boundary drain
-     * uses, so observer-visible side effects (monitor abandon
-     * events, for one) are identical for any shard count. Runs on
-     * the coordinator thread at a window barrier.
+     * Deliver queued abandon notifications to the abandon observer
+     * in canonical (when, lane, program-order) order — the same
+     * placement-independent sort the boundary drain uses, so
+     * observer-visible side effects (monitor abandon events, for
+     * one) are identical for any shard count. Runs on the
+     * coordinator: between runs or at a window barrier.
      */
     void
     drainAbandoned()
@@ -500,27 +472,9 @@ class CoordFabric : public CoordTransport
     }
 
     /**
-     * Visit every link mailbox as (lane name, mailbox). The health
-     * monitor wiring registers one stall-watchdog lane per direction
-     * through this (see platform/scenarios.cpp); lane names are
-     * "<name>.<from>-<to>".
-     */
-    void
-    forEachLane(
-        const std::function<void(const std::string &,
-                                 corm::interconnect::Mailbox &)> &fn)
-    {
-        ensureBuilt();
-        for (auto &[key, link] : links) {
-            fn(link->loToHi.name(), link->loToHi);
-            fn(link->hiToLo.name(), link->hiToLo);
-        }
-    }
-
-    /**
-     * Fabric statistics. In sharded mode the per-shard counters are
-     * folded into one view on each call (harvest-time cost only);
-     * call from the coordinator with no window in flight.
+     * Fabric statistics. With several shards the per-shard counters
+     * are folded into one view on each call (harvest-time cost
+     * only); call from the coordinator with no window in flight.
      */
     const FabricStats &
     stats() const
@@ -593,16 +547,17 @@ class CoordFabric : public CoordTransport
         return m;
     }
 
-    /** Highest in-flight queue depth seen on any link direction. */
+    /**
+     * Highest in-flight queue depth seen on any lane: wire copies
+     * sent but not yet due, counted by the sender at each transmit
+     * (see transmit), so the figure is the same for any placement.
+     */
     std::size_t
-    maxLaneQueueHighWater()
+    maxLaneQueueHighWater() const
     {
-        ensureBuilt();
         std::size_t m = 0;
-        for (auto &[key, link] : links) {
-            m = std::max(m, link->loToHi.pendingHighWater());
-            m = std::max(m, link->hiToLo.pendingHighWater());
-        }
+        for (const ShardState &st : states)
+            m = std::max(m, st.laneQueueHighWater);
         return m;
     }
 
@@ -630,9 +585,10 @@ class CoordFabric : public CoordTransport
     }
 
     // ------------------------------------------------------------------
-    // Dynamic membership (churn). All of these run on the coordinator:
-    // at a window barrier in sharded mode (pass the barrier tick as
-    // `now`), or from an ordinary simulator event in legacy mode.
+    // Dynamic membership (churn). All of these run on the coordinator,
+    // between runs or at a window barrier. At a barrier pass the
+    // barrier tick as `now` (see ChurnScope); between runs the default
+    // (0: the acting node's own clock) reads the run's end.
     // ------------------------------------------------------------------
 
     /** True while @p id is an attached (live) member. */
@@ -830,8 +786,7 @@ class CoordFabric : public CoordTransport
 
     /**
      * Complete re-parents whose delay has elapsed (dueAt <= now).
-     * Call periodically — at window barriers in sharded mode, from a
-     * scheduled event in legacy mode.
+     * Call periodically, at window barriers.
      */
     void churnTick(corm::sim::Tick now) { processReparents(now, false); }
 
@@ -844,12 +799,12 @@ class CoordFabric : public CoordTransport
 
   private:
     /**
-     * One link direction in sharded mode: the Mailbox's wire
-     * semantics (fault stream, in-order clamp) reproduced over the
-     * engine's boundary queues. The lane id is derived from the
-     * endpoint ids alone — placement-independent, so the engine's
-     * canonical (when, lane, seq) injection order does not change
-     * with the shard count.
+     * One link direction: a fault stream and an in-order delivery
+     * clamp over the engine's boundary queues. The lane id is
+     * derived from the endpoint ids alone — placement-independent,
+     * so the engine's canonical (when, lane, seq) injection order
+     * does not change with the shard count. Only the sender's shard
+     * touches a lane.
      */
     struct Lane
     {
@@ -858,32 +813,15 @@ class CoordFabric : public CoordTransport
         corm::interconnect::FaultInjector *faults = nullptr;
         corm::sim::Tick lastDelivery = 0; ///< in-order clamp
         std::uint64_t nextSeq = 0;        ///< per-lane send counter
+        /** Delivery ticks of copies in flight (min-heap). */
+        std::vector<corm::sim::Tick> inFlight;
     };
 
     struct Link
     {
-        IslandId lo, hi;
-        corm::interconnect::Mailbox loToHi;
-        corm::interconnect::Mailbox hiToLo;
+        IslandId lo = 0, hi = 0;
         std::unique_ptr<corm::interconnect::FaultPlan> weather;
-        Lane laneLoHi, laneHiLo; ///< sharded-mode wire directions
-
-        Link(corm::sim::Simulator &s, corm::sim::Tick lat, IslandId l,
-             IslandId h, const std::string &prefix)
-            : lo(l), hi(h),
-              loToHi(s, lat,
-                     prefix + "." + std::to_string(l) + "-"
-                         + std::to_string(h)),
-              hiToLo(s, lat,
-                     prefix + "." + std::to_string(h) + "-"
-                         + std::to_string(l))
-        {}
-
-        corm::interconnect::Mailbox &
-        dir(IslandId from)
-        {
-            return from == lo ? loToHi : hiToLo;
-        }
+        Lane laneLoHi, laneHiLo;
 
         Lane &
         laneFrom(IslandId from)
@@ -897,7 +835,6 @@ class CoordFabric : public CoordTransport
     {
         CoordMessage msg;
         corm::sim::Tick originSentAt = 0; ///< logical send time
-        corm::sim::Tick hopSentAt = 0;    ///< this hop's (re)send time
         IslandId from = 0, to = 0;
         int hopsSoFar = 0; ///< link hops completed before this one
         int attempts = 1;  ///< wire attempts on this link
@@ -912,15 +849,6 @@ class CoordFabric : public CoordTransport
         corm::sim::Tick earliestOrigin = 0;
     };
 
-    /**
-     * Mutable fabric state owned by one shard. In legacy
-     * (single-threaded) mode there is exactly one state, index 0,
-     * and behaviour is unchanged from the pre-sharding fabric. In
-     * sharded mode each shard's worker touches only its own state:
-     * flights and aggregation buckets are keyed by nodes the shard
-     * owns, tags only need to be unique within a shard, and the
-     * stats counters are folded at harvest (see stats()).
-     */
     /** One queued abandon with its canonical-ordering key. */
     struct AbandonRecord
     {
@@ -930,17 +858,26 @@ class CoordFabric : public CoordTransport
         std::uint64_t seq = 0;    ///< per-shard-state program order
     };
 
+    /**
+     * Mutable fabric state owned by one shard. Each shard's worker
+     * touches only its own state: flights and aggregation buckets
+     * are keyed by nodes the shard owns, tags only need to be unique
+     * within a shard, and the stats counters are folded at harvest
+     * (see stats()).
+     */
     struct ShardState
     {
         std::map<std::uint64_t, Flight> flights;
         std::map<std::uint64_t, AggBucket> aggBuckets;
         std::uint64_t nextTag = 0;
         std::size_t aggHighWater = 0;
-        /** Abandons awaiting drainAbandoned() (sharded mode only). */
+        /** Deepest lane in-flight queue this shard sent into. */
+        std::size_t laneQueueHighWater = 0;
+        /** Abandons awaiting drainAbandoned(). */
         std::vector<AbandonRecord> abandonedQueue;
         std::uint64_t abandonSeq = 0;
         FabricStats stats;
-        /** Window-local trace recorder (sharded capture only). */
+        /** This shard's trace recorder (see setShardTrace). */
         corm::obs::TraceRecorder *rec = nullptr;
         /** Lazy track ids on this shard's window recorder. */
         std::map<std::uint64_t, int> laneTracks;
@@ -949,17 +886,6 @@ class CoordFabric : public CoordTransport
         std::vector<LaneEvent> laneLog;
         std::uint64_t laneLogSeq = 0;
     };
-
-    static FabricParams
-    makeParams(FabricTopology topology, corm::sim::Tick hop_latency,
-               IslandId hub)
-    {
-        FabricParams p;
-        p.topology = topology;
-        p.hopLatency = hop_latency;
-        p.hub = hub;
-        return p;
-    }
 
     static std::uint32_t
     linkKey(IslandId a, IslandId b)
@@ -989,14 +915,14 @@ class CoordFabric : public CoordTransport
         ChurnScope(CoordFabric &fab, corm::sim::Tick now)
             : f(fab), saved(fab.churnNow_)
         {
-            if (fab.sharded() && now != 0)
+            if (now != 0)
                 fab.churnNow_ = now;
         }
         ~ChurnScope() { f.churnNow_ = saved; }
     };
 
     /** Current tick for @p node's actions; the barrier tick during a
-     *  sharded-mode churn action (see ChurnScope). */
+     *  churn action (see ChurnScope). */
     corm::sim::Tick
     nowFor(IslandId node)
     {
@@ -1098,12 +1024,10 @@ class CoordFabric : public CoordTransport
     {
         islands.erase(id);
         for (auto it = links.begin(); it != links.end();) {
-            if (it->second->lo == id || it->second->hi == id) {
-                retired.push_back(std::move(it->second));
+            if (it->second.lo == id || it->second.hi == id)
                 it = links.erase(it);
-            } else {
+            else
                 ++it;
-            }
         }
         std::vector<IslandId> orphans;
         auto cit = children.find(id);
@@ -1221,14 +1145,10 @@ class CoordFabric : public CoordTransport
             if (aggDepth[b.node] > 0)
                 --aggDepth[b.node];
             st.stats.abandoned.add();
-            if (!onAbandon)
-                continue;
-            if (sharded())
+            if (onAbandon)
                 st.abandonedQueue.push_back({b.proto, nowFor(id),
                                              laneIdOf(b.node, b.next),
                                              ++st.abandonSeq});
-            else
-                onAbandon(b.proto);
         }
     }
 
@@ -1264,12 +1184,8 @@ class CoordFabric : public CoordTransport
         st.stats.dropped.add();
         if (msg.type != MsgType::tune || msg.seq != 0 || !onAbandon)
             return;
-        if (sharded())
-            st.abandonedQueue.push_back({msg, nowFor(from),
-                                         laneIdOf(from, to),
-                                         ++st.abandonSeq});
-        else
-            onAbandon(msg);
+        st.abandonedQueue.push_back({msg, nowFor(from), laneIdOf(from, to),
+                                     ++st.abandonSeq});
     }
 
     void
@@ -1278,10 +1194,6 @@ class CoordFabric : public CoordTransport
         if (!dirty)
             return;
         dirty = false;
-        // Retire (don't destroy) old links: their mailboxes may
-        // still hold scheduled deliveries referencing themselves.
-        for (auto &[key, link] : links)
-            retired.push_back(std::move(link));
         links.clear();
         nextHop.clear();
         parent.clear();
@@ -1336,9 +1248,9 @@ class CoordFabric : public CoordTransport
     void
     makeLink(IslandId a, IslandId b)
     {
-        auto link = std::make_unique<Link>(sim, cfg.hopLatency,
-                                           std::min(a, b),
-                                           std::max(a, b), cfg.name);
+        Link &link = links[linkKey(a, b)];
+        link.lo = std::min(a, b);
+        link.hi = std::max(a, b);
         if (cfg.faults.any()) {
             // Per-link deterministic weather: the link's stream pair
             // derives from the master seed and the (lo, hi) ids, so
@@ -1351,39 +1263,17 @@ class CoordFabric : public CoordTransport
                                    linkKey(a, b))
                                + 1)))
                          .next();
-            link->weather =
+            link.weather =
                 std::make_unique<corm::interconnect::FaultPlan>(p);
-            link->loToHi.setFaultInjector(&link->weather->aToB());
-            link->hiToLo.setFaultInjector(&link->weather->bToA());
-            link->laneLoHi.faults = &link->weather->aToB();
-            link->laneHiLo.faults = &link->weather->bToA();
+            link.laneLoHi.faults = &link.weather->aToB();
+            link.laneHiLo.faults = &link.weather->bToA();
         }
-        // Sharded-mode lane ids: (linkKey << 1) | direction bit —
-        // a pure function of the endpoint ids, 64-bit so the 32-bit
-        // link key shifts without truncation.
-        link->laneLoHi.id =
-            (static_cast<std::uint64_t>(linkKey(a, b)) << 1);
-        link->laneLoHi.from = link->lo;
-        link->laneLoHi.to = link->hi;
-        link->laneHiLo.id =
-            (static_cast<std::uint64_t>(linkKey(a, b)) << 1) | 1u;
-        link->laneHiLo.from = link->hi;
-        link->laneHiLo.to = link->lo;
-        for (int d = 0; d < 2; ++d) {
-            corm::interconnect::Mailbox &mb =
-                d == 0 ? link->loToHi : link->hiToLo;
-            const IslandId receiver = d == 0 ? link->hi : link->lo;
-            mb.setReceiver([this, receiver](std::uint64_t w0,
-                                            std::uint64_t w1,
-                                            std::uint64_t w2,
-                                            std::uint64_t tag,
-                                            std::uint64_t flow) {
-                onWireDeliver(receiver, w0, w1, w2, tag, flow);
-            });
-            mb.setDropObserver(
-                [this](std::uint64_t tag) { onWireDrop(tag); });
-        }
-        links[linkKey(a, b)] = std::move(link);
+        link.laneLoHi.id = laneIdOf(link.lo, link.hi);
+        link.laneLoHi.from = link.lo;
+        link.laneLoHi.to = link.hi;
+        link.laneHiLo.id = laneIdOf(link.hi, link.lo);
+        link.laneHiLo.from = link.hi;
+        link.laneHiLo.to = link.lo;
     }
 
     void
@@ -1502,13 +1392,12 @@ class CoordFabric : public CoordTransport
             b.earliestOrigin = origin;
             const std::size_t depth = ++aggDepth[node];
             sst.aggHighWater = std::max(sst.aggHighWater, depth);
-            corm::obs::TraceRecorder *const r = recFor(sst);
-            if (CORM_TRACE_ACTIVE(r) && msg.trace != 0) {
-                r->instant(nodeTrackOn(sst, node), simFor(node).now(),
-                           "agg:open", "coord",
-                           {{"entity",
-                             static_cast<std::uint64_t>(msg.entity)},
-                            {"dst", static_cast<int>(msg.dst)}});
+            if (CORM_TRACE_ACTIVE(sst.rec) && msg.trace != 0) {
+                sst.rec->instant(
+                    nodeTrackOn(sst, node), simFor(node).now(),
+                    "agg:open", "coord",
+                    {{"entity", static_cast<std::uint64_t>(msg.entity)},
+                     {"dst", static_cast<int>(msg.dst)}});
             }
             simFor(node).schedule(cfg.aggWindow,
                                   [this, key] { flushBucket(key); });
@@ -1519,17 +1408,16 @@ class CoordFabric : public CoordTransport
         b.proto.value += msg.value;
         b.proto.coalesced += msg.coalesced;
         b.earliestOrigin = std::min(b.earliestOrigin, origin);
-        corm::obs::TraceRecorder *const r = recFor(sst);
-        if (CORM_TRACE_ACTIVE(r) && msg.trace != 0
+        if (CORM_TRACE_ACTIVE(sst.rec) && msg.trace != 0
             && msg.trace != b.proto.trace) {
             // The folded contributor's span ends here; the batch
             // carries the first contributor's span onward.
-            r->instant(nodeTrackOn(sst, node), simFor(node).now(),
-                       "agg:fold", "coord",
-                       {{"entity",
-                         static_cast<std::uint64_t>(msg.entity)}});
-            r->flowEnd(nodeTrackOn(sst, node), simFor(node).now(),
-                       msg.trace, "coord.span", "coord");
+            sst.rec->instant(
+                nodeTrackOn(sst, node), simFor(node).now(), "agg:fold",
+                "coord",
+                {{"entity", static_cast<std::uint64_t>(msg.entity)}});
+            sst.rec->flowEnd(nodeTrackOn(sst, node), simFor(node).now(),
+                             msg.trace, "coord.span", "coord");
         }
     }
 
@@ -1548,9 +1436,8 @@ class CoordFabric : public CoordTransport
         if (aggDepth[b.node] > 0)
             --aggDepth[b.node];
         sst.stats.aggBatches.add();
-        corm::obs::TraceRecorder *const r = recFor(sst);
-        if (CORM_TRACE_ACTIVE(r) && b.proto.trace != 0) {
-            r->instant(
+        if (CORM_TRACE_ACTIVE(sst.rec) && b.proto.trace != 0) {
+            sst.rec->instant(
                 nodeTrackOn(sst, b.node), nowFor(b.node),
                 "agg:flush", "coord",
                 {{"coalesced",
@@ -1561,16 +1448,20 @@ class CoordFabric : public CoordTransport
         wireSend(b.node, b.next, b.proto, b.earliestOrigin, 0);
     }
 
+    /**
+     * Put @p msg on the link from @p from to @p to: flight
+     * bookkeeping, then the first wire attempt. The delivery is a
+     * boundary message posted through the engine; a transmitted
+     * flight is erased at once — the record only feeds drop/replay
+     * chains, and the payload rides the boundary message, so the
+     * receiving shard never touches this shard's flight map.
+     */
     void
     wireSend(IslandId from, IslandId to, const CoordMessage &msg,
              corm::sim::Tick origin, int hopsSoFar)
     {
-        if (sharded()) {
-            shardWireSend(from, to, msg, origin, hopsSoFar);
-            return;
-        }
+        ShardState &st = stateFor(from);
         auto lk = links.find(linkKey(from, to));
-        ShardState &st = states[0];
         if (lk == links.end()) {
             // Topology changed under an in-flight message: the next
             // hop is gone (or routing answered the unroutable
@@ -1582,7 +1473,6 @@ class CoordFabric : public CoordTransport
         Flight &f = st.flights[tag];
         f.msg = msg;
         f.originSentAt = origin;
-        f.hopSentAt = sim.now();
         f.from = from;
         f.to = to;
         f.hopsSoFar = hopsSoFar;
@@ -1592,49 +1482,12 @@ class CoordFabric : public CoordTransport
         if (msg.type == MsgType::tune)
             st.stats.wireTunes.add();
         ++wireFrom[from];
-        lk->second->dir(from).send(msg.encodeWord0(), msg.encodeWord1(),
-                                   msg.encodeWord2(), tag, msg.trace);
+        transmit(st, lk->second, tag);
     }
 
-    /**
-     * Sharded replacement of wireSend + Mailbox::send: same flight
-     * bookkeeping and fault semantics, but the delivery is a
-     * boundary message posted through the engine. A successfully
-     * transmitted flight is erased immediately — the flight record
-     * only exists to feed drop/replay chains, and the payload rides
-     * the boundary message itself, so the receiving shard never
-     * touches this shard's flight map.
-     */
+    /** One wire attempt of a flight (first send or replay). */
     void
-    shardWireSend(IslandId from, IslandId to, const CoordMessage &msg,
-                  corm::sim::Tick origin, int hopsSoFar)
-    {
-        ShardState &st = stateFor(from);
-        auto lk = links.find(linkKey(from, to));
-        if (lk == links.end()) {
-            dropAttributed(from, msg, from, to);
-            return;
-        }
-        const std::uint64_t tag = ++st.nextTag;
-        Flight &f = st.flights[tag];
-        f.msg = msg;
-        f.originSentAt = origin;
-        f.hopSentAt = nowFor(from);
-        f.from = from;
-        f.to = to;
-        f.hopsSoFar = hopsSoFar;
-        f.attempts = 1;
-        f.timeout = cfg.replayTimeout;
-        st.stats.wireMessages.add();
-        if (msg.type == MsgType::tune)
-            st.stats.wireTunes.add();
-        ++wireFrom[from];
-        shardTransmit(st, *lk->second, tag);
-    }
-
-    /** One wire attempt of a sharded flight (first send or replay). */
-    void
-    shardTransmit(ShardState &st, Link &link, std::uint64_t tag)
+    transmit(ShardState &st, Link &link, std::uint64_t tag)
     {
         auto it = st.flights.find(tag);
         Flight &f = it->second;
@@ -1644,8 +1497,8 @@ class CoordFabric : public CoordTransport
         // dependent ticks: nowFor serves the barrier tick there and
         // the owning sim's clock during a window.
         const corm::sim::Tick tnow = nowFor(f.from);
-        // Mirror Mailbox's Activity::sent: logged before the fault
-        // roll, so the stall watchdog sees attempts the weather ate.
+        // Logged before the fault roll, so the stall watchdog sees
+        // attempts the weather ate.
         if (laneActivity_)
             st.laneLog.push_back(
                 {tnow, lane.id, ++st.laneLogSeq, false});
@@ -1656,11 +1509,11 @@ class CoordFabric : public CoordTransport
             if (CORM_TRACE_ACTIVE(st.rec))
                 st.rec->instant(laneTrackOn(st, lane), tnow,
                                 "hop:drop", "coord");
-            shardDrop(st, it, lane.id);
+            dropFlight(st, it);
             return;
         }
-        // Mirror Mailbox::send: base latency plus weather delay,
-        // clamped to in-order delivery unless reordering was drawn.
+        // Base latency plus weather delay, clamped to in-order
+        // delivery unless reordering was drawn.
         corm::sim::Tick when =
             tnow + cfg.hopLatency + act.extraDelay;
         if (!act.reorder) {
@@ -1668,12 +1521,11 @@ class CoordFabric : public CoordTransport
             lane.lastDelivery = when;
         }
         if (CORM_TRACE_ACTIVE(st.rec)) {
-            // Legacy emits the hop slice at delivery time; here the
-            // sender already knows the delivery tick, and emitting
-            // at transmit keeps the slice on the sender's shard
-            // (single-writer tracks). Same ts/dur either way. The
-            // flow step on the lane track is the stitch between the
-            // sender-side span and the receiver-side continuation.
+            // The sender already knows the delivery tick, so the hop
+            // slice is emitted at transmit and stays on the sender's
+            // shard (single-writer tracks). The flow step on the lane
+            // track is the stitch between the sender-side span and
+            // the receiver-side continuation.
             st.rec->complete(
                 laneTrackOn(st, lane), tnow, when - tnow,
                 std::string("hop:") + msgTypeName(f.msg.type), "coord",
@@ -1696,29 +1548,49 @@ class CoordFabric : public CoordTransport
         e.origin = f.originSentAt;
         e.flow = f.msg.trace;
         e.aux = f.msg.coalesced;
-        engine_->post(shardOfNode(f.from), shardOfNode(f.to), e);
+        engine_.post(shardOfNode(f.from), shardOfNode(f.to), e);
+        noteInFlight(st, lane, tnow, when);
         if (act.duplicate && lane.faults) {
-            // Second copy; the receiver counts it and drops it, the
-            // same way a legacy duplicate finds its flight consumed.
+            // Second copy; the receiver counts it and drops it.
             corm::sim::ShardMessage d = e;
             d.when = when + lane.faults->params().dupOffset;
             d.seq = ++lane.nextSeq;
             d.flags |= corm::sim::ShardMessage::flagDuplicate;
-            engine_->post(shardOfNode(f.from), shardOfNode(f.to), d);
+            engine_.post(shardOfNode(f.from), shardOfNode(f.to), d);
+            noteInFlight(st, lane, tnow, d.when);
         }
         st.flights.erase(it);
     }
 
-    /** Weather ate a sharded wire attempt: back off or abandon. */
+    /**
+     * Queue-depth accounting for one copy entering @p lane at
+     * @p now, due at @p when: copies due by @p now have landed. Only
+     * the sender's shard writes the lane, so the depth is a pure
+     * function of the lane's own send history.
+     */
+    static void
+    noteInFlight(ShardState &st, Lane &lane, corm::sim::Tick now,
+                 corm::sim::Tick when)
+    {
+        auto &q = lane.inFlight;
+        const auto later = std::greater<corm::sim::Tick>();
+        while (!q.empty() && q.front() <= now) {
+            std::pop_heap(q.begin(), q.end(), later);
+            q.pop_back();
+        }
+        q.push_back(when);
+        std::push_heap(q.begin(), q.end(), later);
+        st.laneQueueHighWater = std::max(st.laneQueueHighWater, q.size());
+    }
+
+    /** Weather ate a wire attempt: back off or abandon. */
     void
-    shardDrop(ShardState &st,
-              std::map<std::uint64_t, Flight>::iterator it,
-              std::uint64_t laneId)
+    dropFlight(ShardState &st, std::map<std::uint64_t, Flight>::iterator it)
     {
         Flight &f = it->second;
         st.stats.linkDrops.add();
         if (f.attempts > cfg.replayAttempts) {
-            shardAbandon(st, it, laneId);
+            abandonFlight(st, it);
             return;
         }
         const corm::sim::Tick wait = f.timeout;
@@ -1729,11 +1601,11 @@ class CoordFabric : public CoordTransport
         const IslandId from = f.from;
         const std::uint64_t tag = it->first;
         simFor(from).schedule(
-            wait, [this, from, tag] { shardReplay(from, tag); });
+            wait, [this, from, tag] { replayFlight(from, tag); });
     }
 
     void
-    shardReplay(IslandId from, std::uint64_t tag)
+    replayFlight(IslandId from, std::uint64_t tag)
     {
         ShardState &st = stateFor(from);
         auto it = st.flights.find(tag);
@@ -1742,48 +1614,44 @@ class CoordFabric : public CoordTransport
         Flight &f = it->second;
         auto lk = links.find(linkKey(f.from, f.to));
         if (lk == links.end()) {
-            shardAbandon(st, it, 0);
+            abandonFlight(st, it);
             return;
         }
         ++f.attempts;
-        f.hopSentAt = simFor(from).now();
         st.stats.linkReplays.add();
         st.stats.wireMessages.add();
         if (f.msg.type == MsgType::tune)
             st.stats.wireTunes.add();
         ++wireFrom[f.from];
         if (CORM_TRACE_ACTIVE(st.rec)) {
-            Lane &lane = lk->second->laneFrom(f.from);
+            Lane &lane = lk->second.laneFrom(f.from);
             st.rec->instant(laneTrackOn(st, lane), simFor(from).now(),
                             std::string("replay:")
                                 + msgTypeName(f.msg.type),
                             "coord", {{"attempt", f.attempts}});
         }
-        shardTransmit(st, *lk->second, tag);
+        transmit(st, lk->second, tag);
     }
 
     /**
-     * Replay budget exhausted on a sharded flight. The notification
-     * is queued, not delivered: abandon observers mutate scenario
-     * state and must only run on the coordinator (drainAbandoned).
-     * @p laneId 0 means "derive from the flight's endpoints" (real
-     * lane ids are never 0: linkKey is at least 1).
+     * Replay budget exhausted. The notification is queued, not
+     * delivered: abandon observers mutate scenario state and must
+     * only run on the coordinator (drainAbandoned).
      */
     void
-    shardAbandon(ShardState &st,
-                 std::map<std::uint64_t, Flight>::iterator it,
-                 std::uint64_t laneId)
+    abandonFlight(ShardState &st,
+                  std::map<std::uint64_t, Flight>::iterator it)
     {
         const CoordMessage msg = it->second.msg;
         const IslandId from = it->second.from, to = it->second.to;
         st.flights.erase(it);
         st.stats.abandoned.add();
-        if (laneId == 0)
-            laneId = laneIdOf(from, to);
+        const std::uint64_t laneId = laneIdOf(from, to);
         const corm::sim::Tick when = simFor(from).now();
         if (CORM_TRACE_ACTIVE(st.rec)) {
-            // Deliberately no flowEnd, same as abandonFlight: an
-            // abandoned message's span dangles.
+            // Deliberately no flowEnd: an abandoned message's span
+            // dangles (begin/steps without end), which is exactly
+            // what the trace shows for information that was lost.
             st.rec->instant(
                 laneTrackOn(st, laneId, from, to), when, "abandon",
                 "coord",
@@ -1795,17 +1663,17 @@ class CoordFabric : public CoordTransport
     }
 
     /**
-     * Sharded delivery sink: a boundary message reached its
-     * destination shard. Runs on that shard's thread; the decoded
-     * message rejoins the normal relay / final-delivery path.
+     * Delivery sink: a boundary message reached its destination
+     * shard. Runs on that shard's thread; the decoded message
+     * rejoins the normal relay / final-delivery path.
      */
     void
     onLaneDeliver(const corm::sim::ShardMessage &e)
     {
         const IslandId node = e.node;
         ShardState &st = stateFor(node);
-        // Mirror Mailbox's Activity::delivered: every arriving copy
-        // counts, duplicates included.
+        // Every arriving copy counts as lane activity, duplicates
+        // included.
         if (laneActivity_)
             st.laneLog.push_back({simFor(node).now(), e.lane,
                                   ++st.laneLogSeq, true});
@@ -1837,7 +1705,9 @@ class CoordFabric : public CoordTransport
             return;
         }
         if (CORM_TRACE_ACTIVE(st.rec) && msg.trace != 0) {
-            // Final hop of the span (see onWireDeliver).
+            // Final hop of the span: an ack ending a reliable chain
+            // or a fire-and-forget apply both terminate here; a
+            // sequenced request still has its ack leg ahead.
             if (msg.type == MsgType::ack || msg.seq == 0)
                 st.rec->flowEnd(nodeTrackOn(st, node),
                                 simFor(node).now(), msg.trace,
@@ -1848,157 +1718,6 @@ class CoordFabric : public CoordTransport
                                  "coord.span", "coord");
         }
         finalDeliver(msg, e.origin, hops);
-    }
-
-    void
-    onWireDrop(std::uint64_t tag)
-    {
-        ShardState &st = states[0];
-        auto it = st.flights.find(tag);
-        if (it == st.flights.end())
-            return; // a duplicate copy was eaten; nothing pending
-        Flight &f = it->second;
-        st.stats.linkDrops.add();
-        if (CORM_TRACE_ACTIVE(rec_)) {
-            rec_->instant(linkTrack(f.from, f.to), sim.now(),
-                          "hop:drop", "coord");
-        }
-        if (f.attempts > cfg.replayAttempts) {
-            abandonFlight(it);
-            return;
-        }
-        const corm::sim::Tick wait = f.timeout;
-        const double next = static_cast<double>(f.timeout)
-            * (cfg.replayBackoff > 1.0 ? cfg.replayBackoff : 1.0);
-        f.timeout = std::min(
-            cfg.replayCap, static_cast<corm::sim::Tick>(next));
-        sim.schedule(wait, [this, tag] { replayFlight(tag); });
-    }
-
-    void
-    replayFlight(std::uint64_t tag)
-    {
-        ShardState &st = states[0];
-        auto it = st.flights.find(tag);
-        if (it == st.flights.end())
-            return;
-        Flight &f = it->second;
-        auto lk = links.find(linkKey(f.from, f.to));
-        if (lk == links.end()) {
-            abandonFlight(it);
-            return;
-        }
-        ++f.attempts;
-        f.hopSentAt = sim.now();
-        st.stats.linkReplays.add();
-        st.stats.wireMessages.add();
-        if (f.msg.type == MsgType::tune)
-            st.stats.wireTunes.add();
-        ++wireFrom[f.from];
-        if (CORM_TRACE_ACTIVE(rec_)) {
-            rec_->instant(linkTrack(f.from, f.to), sim.now(),
-                          std::string("replay:")
-                              + msgTypeName(f.msg.type),
-                          "coord", {{"attempt", f.attempts}});
-            if (f.msg.trace != 0)
-                rec_->flowStep(linkTrack(f.from, f.to), sim.now(),
-                               f.msg.trace, "coord.span", "coord");
-        }
-        lk->second->dir(f.from).send(f.msg.encodeWord0(),
-                                     f.msg.encodeWord1(),
-                                     f.msg.encodeWord2(), tag,
-                                     f.msg.trace);
-    }
-
-    void
-    abandonFlight(std::map<std::uint64_t, Flight>::iterator it)
-    {
-        const CoordMessage msg = it->second.msg;
-        const IslandId from = it->second.from, to = it->second.to;
-        states[0].flights.erase(it);
-        states[0].stats.abandoned.add();
-        logger.debug("abandoning %s for island %u on link %u-%u "
-                     "after replay budget",
-                     msgTypeName(msg.type),
-                     static_cast<unsigned>(msg.dst),
-                     static_cast<unsigned>(from),
-                     static_cast<unsigned>(to));
-        if (CORM_TRACE_ACTIVE(rec_)) {
-            // Deliberately no flowEnd: an abandoned message's span
-            // dangles (begin/steps without end), which is exactly
-            // what the trace shows for information that was lost.
-            rec_->instant(linkTrack(from, to), sim.now(), "abandon",
-                          "coord",
-                          {{"entity",
-                            static_cast<std::uint64_t>(msg.entity)}});
-        }
-        if (onAbandon)
-            onAbandon(msg);
-    }
-
-    void
-    onWireDeliver(IslandId node, std::uint64_t w0, std::uint64_t w1,
-                  std::uint64_t w2, std::uint64_t tag,
-                  std::uint64_t flow)
-    {
-        ShardState &st = states[0];
-        auto it = st.flights.find(tag);
-        if (it == st.flights.end()) {
-            // Second copy of a duplicated wire message: the first
-            // copy consumed the flight record.
-            st.stats.duplicates.add();
-            if (CORM_TRACE_ACTIVE(rec_)) {
-                CoordMessage m = CoordMessage::decode(w0, w1, w2);
-                m.trace = flow;
-                rec_->instant(nodeTrack(node), sim.now(),
-                              std::string("hop:dup:")
-                                  + msgTypeName(m.type),
-                              "coord");
-            }
-            return;
-        }
-        Flight f = std::move(it->second);
-        st.flights.erase(it);
-        ++wireInto[node];
-        const int hops = f.hopsSoFar + 1;
-        CoordMessage msg = f.msg; // wire words + out-of-band fields
-        if (CORM_TRACE_ACTIVE(rec_)) {
-            rec_->complete(
-                linkTrack(f.from, f.to), f.hopSentAt,
-                sim.now() - f.hopSentAt,
-                std::string("hop:") + msgTypeName(msg.type), "coord",
-                {{"entity", static_cast<std::uint64_t>(msg.entity)},
-                 {"seq", static_cast<int>(msg.seq)},
-                 {"hop", hops}});
-            // Stitch the hop onto its span (the channel convention:
-            // flow ts = slice end). The sharded path emits this on
-            // the lane track at transmit; without it here, legacy
-            // fabric hops are invisible to per-link flow attribution
-            // (obs/flowprofile.hpp).
-            if (msg.trace != 0)
-                rec_->flowStep(linkTrack(f.from, f.to), sim.now(),
-                               msg.trace, "coord.span", "coord");
-        }
-        if (node != msg.dst) {
-            st.stats.hubRelays.add();
-            if (CORM_TRACE_ACTIVE(rec_) && msg.trace != 0)
-                rec_->flowStep(nodeTrack(node), sim.now(),
-                               msg.trace, "coord.span", "coord");
-            forwardFrom(node, msg, f.originSentAt, hops);
-            return;
-        }
-        if (CORM_TRACE_ACTIVE(rec_) && msg.trace != 0) {
-            // Final hop of the span: an ack ending a reliable chain
-            // or a fire-and-forget apply both terminate here; a
-            // sequenced request still has its ack leg ahead.
-            if (msg.type == MsgType::ack || msg.seq == 0)
-                rec_->flowEnd(nodeTrack(node), sim.now(), msg.trace,
-                              "coord.span", "coord");
-            else
-                rec_->flowStep(nodeTrack(node), sim.now(), msg.trace,
-                               "coord.span", "coord");
-        }
-        finalDeliver(msg, f.originSentAt, hops);
     }
 
     void
@@ -2050,7 +1769,7 @@ class CoordFabric : public CoordTransport
             sendAckFor(dst, msg);
             return;
         }
-        corm::obs::TraceScope span(recFor(sst), msg.trace,
+        corm::obs::TraceScope span(sst.rec, msg.trace,
                                    msg.seq == 0);
         switch (msg.type) {
           case MsgType::tune:
@@ -2081,8 +1800,6 @@ class CoordFabric : public CoordTransport
             if (it != ackObservers.end() && it->second)
                 it->second(msg);
             dispatchAckMulti(msg);
-            if (catchAllAckObserver)
-                catchAllAckObserver(msg);
             break;
           }
         }
@@ -2180,52 +1897,11 @@ class CoordFabric : public CoordTransport
         return false;
     }
 
-    /** Per-link trace track (lazy). */
-    int
-    linkTrack(IslandId a, IslandId b)
-    {
-        const std::uint32_t key = linkKey(a, b);
-        auto it = linkTracks.find(key);
-        if (it != linkTracks.end())
-            return it->second;
-        const int trk = rec_->track(
-            "fabric", cfg.name + "."
-                          + std::to_string(std::min(a, b)) + "-"
-                          + std::to_string(std::max(a, b)));
-        linkTracks[key] = trk;
-        return trk;
-    }
-
-    /** Per-island trace track (lazy): relays, aggregation, applies. */
-    int
-    nodeTrack(IslandId node)
-    {
-        auto it = nodeTracks.find(node);
-        if (it != nodeTracks.end())
-            return it->second;
-        const int trk = rec_->track(
-            "fabric", cfg.name + "@" + std::to_string(node));
-        nodeTracks[node] = trk;
-        return trk;
-    }
-
-    /**
-     * The recorder instrumentation on @p st's shard writes to:
-     * the legacy recorder when one is attached (legacy mode), else
-     * the shard's window recorder (sharded capture), else null.
-     */
-    corm::obs::TraceRecorder *
-    recFor(ShardState &st) const
-    {
-        return rec_ ? rec_ : st.rec;
-    }
-
-    /** nodeTrack on whichever recorder recFor resolves to. */
+    /** Per-island trace track on @p st's recorder (lazy): relays,
+     *  aggregation, applies. */
     int
     nodeTrackOn(ShardState &st, IslandId node)
     {
-        if (!sharded())
-            return nodeTrack(node);
         auto it = st.nodeTracks.find(node);
         if (it != st.nodeTracks.end())
             return it->second;
@@ -2236,10 +1912,8 @@ class CoordFabric : public CoordTransport
     }
 
     /**
-     * Directional lane track on @p st's window recorder (sharded
-     * capture only). Directional — unlike the legacy combined
-     * "lo-hi" link track — so each lane track is written only by
-     * its sender shard.
+     * Directional lane track on @p st's recorder (lazy). Directional,
+     * so each lane track is written only by its sender shard.
      */
     int
     laneTrackOn(ShardState &st, std::uint64_t laneId, IslandId from,
@@ -2248,9 +1922,7 @@ class CoordFabric : public CoordTransport
         auto it = st.laneTracks.find(laneId);
         if (it != st.laneTracks.end())
             return it->second;
-        const int trk = st.rec->track(
-            "fabric", cfg.name + "." + std::to_string(from) + "-"
-                          + std::to_string(to));
+        const int trk = st.rec->track("fabric", laneName(from, to));
         st.laneTracks[laneId] = trk;
         return trk;
     }
@@ -2261,7 +1933,19 @@ class CoordFabric : public CoordTransport
         return laneTrackOn(st, lane.id, lane.from, lane.to);
     }
 
-    /** Directional lane id from the endpoint pair (see makeLink). */
+    /** "<name>.<from>-<to>": lane and lane-track name. */
+    std::string
+    laneName(IslandId from, IslandId to) const
+    {
+        return cfg.name + "." + std::to_string(from) + "-"
+            + std::to_string(to);
+    }
+
+    /**
+     * Directional lane id: (linkKey << 1) | direction bit — a pure
+     * function of the endpoint ids, 64-bit so the 32-bit link key
+     * shifts without truncation.
+     */
     static std::uint64_t
     laneIdOf(IslandId from, IslandId to)
     {
@@ -2275,7 +1959,7 @@ class CoordFabric : public CoordTransport
         std::size_t head = 0;
     };
 
-    /** Shard owning @p node (0 in legacy mode). */
+    /** Shard owning @p node. */
     int
     shardOfNode(IslandId node) const
     {
@@ -2294,7 +1978,7 @@ class CoordFabric : public CoordTransport
     corm::sim::Simulator &
     simFor(IslandId node)
     {
-        return engine_ ? engine_->sim(shardOfNode(node)) : sim;
+        return engine_.sim(shardOfNode(node));
     }
 
     /** Fold @p s into @p into (counter sums, Summary merges). */
@@ -2321,21 +2005,19 @@ class CoordFabric : public CoordTransport
         into.hopsPerDelivery.merge(s.hopsPerDelivery);
     }
 
-    corm::sim::Simulator &sim;
+    corm::sim::ShardedEngine &engine_;
     FabricParams cfg;
+    /** Per-shard mutable state, one entry per engine shard. */
+    std::vector<ShardState> states;
+    std::vector<int> shardOf; ///< island id -> shard
+    mutable FabricStats merged_; ///< stats() scratch (several shards)
     IslandId hubId = 0;
     bool dirty = true;
     std::map<IslandId, ResourceIsland *> islands;
-    std::map<std::uint32_t, std::unique_ptr<Link>> links;
-    std::vector<std::unique_ptr<Link>> retired;
+    std::map<std::uint32_t, Link> links;
     std::map<std::uint32_t, IslandId> nextHop;
     std::map<IslandId, IslandId> parent;
     std::map<IslandId, std::vector<IslandId>> children;
-    /** Per-shard mutable state; exactly one entry in legacy mode. */
-    std::vector<ShardState> states = std::vector<ShardState>(1);
-    mutable FabricStats merged_; ///< stats() scratch (sharded)
-    corm::sim::ShardedEngine *engine_ = nullptr;
-    std::vector<int> shardOf; ///< island id -> shard (sharded mode)
     // Node-indexed tallies, sized from the attached topology at
     // ensureBuilt() (highest island id + 1): the 16-bit id space is
     // too large for fixed flat tables, and small runs shouldn't pay
@@ -2355,7 +2037,6 @@ class CoordFabric : public CoordTransport
     };
     std::map<IslandId, std::vector<AckEntry>> ackMulti_;
     std::uint64_t ackToken_ = 0;
-    std::function<void(const CoordMessage &)> catchAllAckObserver;
     std::uint64_t routeEpoch_ = 0;
     ChurnCounters churn_;
     /** Barrier tick override while a churn action runs (ChurnScope). */
@@ -2364,9 +2045,6 @@ class CoordFabric : public CoordTransport
     /** (old home, entity) -> new home forwarding pointers. */
     std::map<std::uint64_t, IslandId> migrated_;
     AbandonFn onAbandon;
-    corm::obs::TraceRecorder *rec_ = nullptr;
-    std::map<std::uint32_t, int> linkTracks;
-    std::map<IslandId, int> nodeTracks;
     bool laneActivity_ = false;
     std::vector<LaneEvent> laneScratch_;     ///< drain scratch
     std::vector<AbandonRecord> abandonScratch_;

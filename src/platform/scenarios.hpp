@@ -285,27 +285,24 @@ struct FabricScenarioConfig
     int islands = 8;
 
     /**
-     * Event-loop shards running concurrently within the trial.
-     * 0 = the legacy single-threaded event loop (byte-identical to
-     * the pre-sharding scenario). >= 1 partitions the islands
-     * contiguously by id across that many ShardedEngine simulators
-     * (clamped to the island count); every wire hop then crosses a
-     * window barrier, so results are digest-identical for ANY shard
-     * count >= 1 (but intentionally distinct from the legacy loop,
-     * whose same-tick interleavings differ). Capture rides along:
-     * trace and monitorLanes work under sharding via window-local
-     * per-shard recorders and lane logs merged at barriers
-     * (obs/shardcapture.hpp), with the merged trace byte-identical
-     * for every shard count >= 1 and the digest identical to a
-     * capture-off run.
+     * Event-loop shards running concurrently within the trial (>= 1;
+     * runFabricScenario throws std::invalid_argument otherwise). The
+     * islands are partitioned contiguously by id across that many
+     * ShardedEngine simulators (clamped to the island count); every
+     * wire hop crosses a window barrier, so results are
+     * digest-identical for any shard count. Capture rides along:
+     * trace and monitorLanes use window-local per-shard recorders
+     * and lane logs merged at barriers (obs/shardcapture.hpp), with
+     * the merged trace byte-identical for every shard count and the
+     * digest identical to a capture-off run.
      */
-    int shards = 0;
+    int shards = 1;
 
     /**
      * Id of the root/classifier island; islands occupy ids
-     * [firstIslandId, firstIslandId + islands). Default 1 preserves
-     * historical digests; 256-island runs need 0 so the top id still
-     * fits IslandId (uint8).
+     * [firstIslandId, firstIslandId + islands), which must fit
+     * IslandId (uint16, coord::maxIslands ids). Default 1 preserves
+     * historical digests.
      */
     int firstIslandId = 1;
 
@@ -344,23 +341,22 @@ struct FabricScenarioConfig
     coord::ReliableSender::Params reliable;
 
     /**
-     * Register per-lane stall watchdogs with a health monitor. Legacy
-     * runs feed it live from Mailbox activity observers; sharded runs
-     * replay the fabric's shard-local lane logs into it at barriers.
+     * Register per-lane stall watchdogs with a health monitor, fed by
+     * replaying the fabric's shard-local lane logs at barriers.
      */
     bool monitorLanes = true;
 
     /**
-     * Optional trace recorder (multi-hop coordination spans). Works
-     * in both legacy and sharded mode; sharded capture never touches
-     * the digest, and the merged JSON is shard-count independent.
+     * Optional trace recorder (multi-hop coordination spans). Capture
+     * never touches the digest, and the merged JSON is shard-count
+     * independent.
      */
     corm::obs::TraceRecorder *trace = nullptr;
 
     /**
      * Fill FabricScenarioResult::metricsJson with a registry snapshot
-     * (fabric counters plus, under sharding, the engine's per-shard
-     * self-metrics) taken after the run.
+     * (fabric counters plus the engine's per-shard self-metrics)
+     * taken after the run.
      */
     bool captureMetrics = false;
 
@@ -397,14 +393,13 @@ struct FabricScenarioConfig
     };
 
     /**
-     * Churn schedule applied during the workload. Legacy runs apply
-     * each event from a simulator event at its tick; sharded runs
-     * apply due events at the first window barrier at-or-after the
-     * tick — the only placement-independent point, with every worker
-     * parked — so results stay digest-identical for every shard
-     * count >= 1. Deltas stranded by churn are attributed through
-     * the abandon observer (against the entity's current home), so
-     * the exact-sum conservation invariant holds under any schedule.
+     * Churn schedule applied during the workload. Due events apply
+     * at the first window barrier at-or-after their tick — the only
+     * placement-independent point, with every worker parked — so
+     * results stay digest-identical for every shard count. Deltas
+     * stranded by churn are attributed through the abandon observer
+     * (against the entity's current home), so the exact-sum
+     * conservation invariant holds under any schedule.
      */
     std::vector<ChurnEvent> churn;
 
@@ -473,7 +468,10 @@ struct FabricScenarioResult
     std::uint64_t bindingsLearned = 0;
     std::uint64_t bindingsAbandoned = 0;
 
-    /** Deepest in-flight queue on any lane (hub pressure). */
+    /**
+     * Deepest in-flight queue on any lane (hub pressure): wire
+     * copies sent but not yet due, counted by the sender.
+     */
     std::size_t hubQueueHighWater = 0;
     /** Most aggregation buckets open at one hub. */
     std::size_t aggOpenHighWater = 0;
@@ -514,10 +512,10 @@ struct FabricScenarioResult
     std::uint64_t digest = 0;
     std::uint64_t eventsExecuted = 0;
 
-    // Sharded-engine accounting (all zero in legacy mode). Windows
-    // and boundary messages are pure functions of the global event
-    // set, so they are identical for every shard count >= 1 — the
-    // bench gate pins them; batches and depth depend on placement.
+    // Sharded-engine accounting. Windows and boundary messages are
+    // pure functions of the global event set, so they are identical
+    // for every shard count — the bench gate pins them; batches and
+    // depth depend on placement.
     std::uint64_t shardWindows = 0;
     std::uint64_t boundaryMessages = 0;
     std::uint64_t boundaryBatches = 0;

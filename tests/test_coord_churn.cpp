@@ -5,12 +5,15 @@
  * forwarding, retry-timer cancellation for departed destinations,
  * shared ack-observer endpoints, and the watchdog -> re-parent policy
  * loop (stall fires across a hub outage, then recovers; cleanly
- * departed lanes never false-alarm).
+ * departed lanes never false-alarm). Churn runs between engine runs
+ * or from the barrier probe, as in runFabricScenario.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -19,7 +22,7 @@
 #include "coord/reliable.hpp"
 #include "obs/metrics.hpp"
 #include "obs/monitor.hpp"
-#include "sim/simulator.hpp"
+#include "sim/sharded.hpp"
 
 using namespace corm::sim;
 using namespace corm::coord;
@@ -64,28 +67,121 @@ class StubIsland : public ResourceIsland
     std::string name_;
 };
 
-/** A 7-island fanout-2 tree: 1 <- {2,3}, 2 <- {4,5}, 3 <- {6,7}. */
-struct TreeRig
+/**
+ * Islands 1..n on one fabric over a 1-shard engine. Queued abandons
+ * reach the observer at every window barrier and after every run;
+ * @p onBarrier (optional) runs at each barrier after that.
+ */
+struct Rig
 {
-    Simulator sim;
+    ShardedEngine engine;
+    Simulator &sim;
     std::vector<std::unique_ptr<StubIsland>> islands;
     std::unique_ptr<CoordFabric> fabric;
+    std::function<void(Tick)> onBarrier;
 
-    explicit TreeRig(FabricParams p, int n = 7)
+    Rig(const FabricParams &p, int n)
+        : engine(1, p.hopLatency), sim(engine.sim(0))
     {
-        p.topology = FabricTopology::tree;
-        p.hub = 1;
-        p.treeFanout = 2;
-        fabric = std::make_unique<CoordFabric>(sim, p);
+        fabric = std::make_unique<CoordFabric>(engine, p);
         for (int i = 1; i <= n; ++i) {
             islands.push_back(std::make_unique<StubIsland>(
                 static_cast<IslandId>(i),
                 "isl" + std::to_string(i)));
             fabric->attach(*islands.back());
         }
+        engine.setProbe([this](Tick now) {
+            fabric->drainAbandoned();
+            if (onBarrier)
+                onBarrier(now);
+            return false;
+        });
     }
 
+    void
+    runUntil(Tick t)
+    {
+        engine.runUntil(t);
+        fabric->drainAbandoned();
+    }
+
+    void runFor(Tick d) { runUntil(engine.now() + d); }
     StubIsland &at(int id) { return *islands[id - 1]; }
+};
+
+/** A 7-island fanout-2 tree: 1 <- {2,3}, 2 <- {4,5}, 3 <- {6,7}. */
+struct TreeRig : Rig
+{
+    explicit TreeRig(FabricParams p, int n = 7)
+        : Rig(treeParams(p), n)
+    {}
+
+    static FabricParams
+    treeParams(FabricParams p)
+    {
+        p.topology = FabricTopology::tree;
+        p.hub = 1;
+        p.treeFanout = 2;
+        return p;
+    }
+};
+
+/**
+ * Per-lane stall watchdogs wired the way runFabricScenario wires
+ * them: the fabric logs lane activity, and each barrier replays it
+ * into the monitor, which samples at its own cadence. A no-op
+ * heartbeat keeps windows (so barriers) coming while the fabric is
+ * idle.
+ */
+struct LaneWatch
+{
+    CoordFabric &fabric;
+    corm::obs::HealthMonitor &mon;
+    Tick period;
+    corm::sim::PeriodicEvent heartbeat;
+    std::map<std::uint64_t, int> lanes; ///< lane id -> monitor lane
+    Tick nextSample;
+    Tick now = 0; ///< the barrier being processed
+
+    LaneWatch(Rig &rig, corm::obs::HealthMonitor &monitor, Tick sample)
+        : fabric(*rig.fabric), mon(monitor), period(sample),
+          heartbeat(rig.sim, sample, [] {}), nextSample(sample)
+    {
+        fabric.setLaneActivityRecording(true);
+        wire();
+        rig.onBarrier = [this](Tick t) { barrier(t); };
+    }
+
+    /** Register new lanes; retire those that left with an island. */
+    void
+    wire()
+    {
+        std::vector<std::string> live;
+        fabric.forEachLaneId(
+            [&](const std::string &name, std::uint64_t id) {
+                if (!lanes.count(id))
+                    lanes[id] = mon.lane(name);
+                live.push_back(name);
+            });
+        mon.retireLanesExcept(live);
+    }
+
+    void
+    barrier(Tick t)
+    {
+        now = t;
+        fabric.drainLaneActivity(
+            [&](const CoordFabric::LaneEvent &e) {
+                if (e.delivered)
+                    mon.laneDeliveredAt(lanes.at(e.lane), e.when);
+                else
+                    mon.laneSentAt(lanes.at(e.lane), e.when);
+            });
+        if (t >= nextSample) {
+            mon.poll(t);
+            nextSample = t + period;
+        }
+    }
 };
 
 CoordMessage
@@ -135,8 +231,9 @@ TEST(CoordChurnLeave, LeaveWithOpenAggregationWindowsLosesNoDelta)
     // open (flush due 1100us) when 2 departs.
     rig.sim.scheduleAt(600 * usec,
                        [&] { rig.fabric->send(tune(1, 2, 9, 7.0)); });
-    rig.sim.scheduleAt(700 * usec, [&] { rig.fabric->leave(2); });
-    rig.sim.runFor(5 * msec);
+    rig.runUntil(700 * usec);
+    rig.fabric->leave(2);
+    rig.runUntil(5 * msec);
 
     EXPECT_FALSE(rig.fabric->attached(2));
     // The bucket island 2 owned flushed before departure: the delta
@@ -155,7 +252,7 @@ TEST(CoordChurnLeave, LeaveWithOpenAggregationWindowsLosesNoDelta)
     EXPECT_EQ(rig.fabric->churnCounters().leaves, 1u);
     EXPECT_EQ(rig.fabric->churnCounters().reparents, 2u);
     rig.fabric->send(tune(1, 5, 8, 2.0));
-    rig.sim.runFor(2 * msec);
+    rig.runFor(2 * msec);
     EXPECT_EQ(rig.at(5).tuneSum(8), 2.0);
 }
 
@@ -179,12 +276,13 @@ TEST(CoordChurnCrash, UnackedInFlightTunesRedrivenExactlyOnceAcrossReparent)
                        [&] { snd.send(tune(1, 5, 8, 6.0)); });
     // Crash at 25us: tune (a)'s ack is between 4 and 2, tune (b) is
     // between 1 and 2. Both die with the node.
-    rig.sim.scheduleAt(25 * usec, [&] { rig.fabric->crash(2); });
+    rig.runUntil(25 * usec);
+    rig.fabric->crash(2);
     // Orphans 4 and 5 queue for re-parenting; complete them once the
     // detection window has elapsed.
-    rig.sim.scheduleAt(3 * msec,
-                       [&] { rig.fabric->churnTick(rig.sim.now()); });
-    rig.sim.runFor(50 * msec);
+    rig.runUntil(3 * msec);
+    rig.fabric->churnTick(3 * msec);
+    rig.runUntil(50 * msec);
 
     EXPECT_EQ(rig.fabric->churnCounters().crashes, 1u);
     EXPECT_EQ(rig.fabric->churnCounters().reparents, 2u);
@@ -214,23 +312,19 @@ TEST(CoordChurnMigrate, MigrationDuringBurstOutageForwardsReplayedDelta)
     p.replayBackoff = 2.0;
     p.faults.outages.push_back({0, 600 * usec});
 
-    Simulator sim;
-    StubIsland a(1, "a"), b(2, "b"), c(3, "c");
-    CoordFabric fabric(sim, p);
-    fabric.attach(a);
-    fabric.attach(b);
-    fabric.attach(c);
+    Rig rig(p, 3);
+    CoordFabric &fabric = *rig.fabric;
 
     fabric.send(tune(1, 2, 7, 5.5)); // eaten at t=0, replay pending
-    sim.scheduleAt(300 * usec,
-                   [&] { fabric.migrateEntity(2, 3, 7); });
-    sim.runFor(10 * msec);
+    rig.runUntil(300 * usec);
+    fabric.migrateEntity(2, 3, 7);
+    rig.runUntil(10 * msec);
 
     EXPECT_EQ(fabric.churnCounters().migrations, 1u);
     EXPECT_EQ(fabric.currentHome(2, 7), 3);
-    EXPECT_EQ(b.tuneSum(7), 0.0);
-    EXPECT_EQ(c.tuneSum(7), 5.5);
-    ASSERT_EQ(c.tunes.size(), 1u);
+    EXPECT_EQ(rig.at(2).tuneSum(7), 0.0);
+    EXPECT_EQ(rig.at(3).tuneSum(7), 5.5);
+    ASSERT_EQ(rig.at(3).tunes.size(), 1u);
     EXPECT_GE(fabric.stats().migForwards.value(), 1u);
     EXPECT_EQ(fabric.stats().abandoned.value(), 0u);
 }
@@ -246,23 +340,20 @@ TEST(CoordChurnMigrate, SequencedRetryAfterMigrationReacksWithoutReapply)
     p.hopLatency = 10 * usec;
     p.faults.dupProb = 1.0; // every wire message is duplicated
 
-    Simulator sim;
-    StubIsland a(1, "a"), b(2, "b"), c(3, "c");
-    CoordFabric fabric(sim, p);
-    fabric.attach(a);
-    fabric.attach(b);
-    fabric.attach(c);
-    ReliableSender snd(sim, fabric, 1);
+    Rig rig(p, 3);
+    CoordFabric &fabric = *rig.fabric;
+    ReliableSender snd(rig.sim, fabric, 1);
 
     snd.send(tune(1, 2, 7, 4.0));
-    sim.scheduleAt(15 * usec, [&] { fabric.migrateEntity(2, 3, 7); });
-    sim.runFor(20 * msec);
+    rig.runUntil(15 * usec);
+    fabric.migrateEntity(2, 3, 7);
+    rig.runUntil(20 * msec);
 
     // Applied exactly once, at the pre-migration home (it landed
     // before the map flipped); nothing leaked to the new home.
-    ASSERT_EQ(b.tunes.size(), 1u);
-    EXPECT_EQ(b.tuneSum(7), 4.0);
-    EXPECT_TRUE(c.tunes.empty());
+    ASSERT_EQ(rig.at(2).tunes.size(), 1u);
+    EXPECT_EQ(rig.at(2).tuneSum(7), 4.0);
+    EXPECT_TRUE(rig.at(3).tunes.empty());
     EXPECT_EQ(snd.acked(), 1u);
     EXPECT_EQ(snd.pendingCount(), 0u);
     EXPECT_GE(fabric.stats().duplicates.value(), 1u);
@@ -276,7 +367,7 @@ TEST(CoordChurnJoin, JoinDuringPolicyEpochLearnsBindingsAndRoutes)
     ReliableAnnouncer ann(rig.sim, *rig.fabric);
 
     rig.fabric->send(tune(1, 2, 5, 1.0)); // epoch traffic + build
-    rig.sim.runFor(1 * msec);
+    rig.runFor(1 * msec);
     const std::uint64_t epochBefore = rig.fabric->routeEpoch();
 
     auto joiner = std::make_unique<StubIsland>(4, "isl4");
@@ -294,7 +385,7 @@ TEST(CoordChurnJoin, JoinDuringPolicyEpochLearnsBindingsAndRoutes)
     b.ip = corm::net::IpAddr(10, 0, 0, 9);
     ann.announce(4, b);
     rig.fabric->send(tune(1, 4, 6, 2.5));
-    rig.sim.runFor(20 * msec);
+    rig.runFor(20 * msec);
 
     ASSERT_EQ(joiner->bindings.size(), 1u);
     EXPECT_EQ(joiner->bindings[0].ip, corm::net::IpAddr(10, 0, 0, 9));
@@ -313,16 +404,16 @@ TEST(CoordChurnJoin, RejoinAfterLeaveRevivesRoutesOverTheSamePair)
         [&](const CoordMessage &m) { abandoned.push_back(m); });
 
     rig.fabric->send(tune(1, 3, 7, 1.0));
-    rig.sim.runFor(1 * msec);
+    rig.runFor(1 * msec);
     rig.fabric->leave(3);
     rig.fabric->send(tune(1, 3, 7, 9.0)); // unroutable: attributed
-    rig.sim.runFor(1 * msec);
+    rig.runFor(1 * msec);
     EXPECT_EQ(abandoned.size(), 1u);
 
     rig.fabric->join(rig.at(3)); // same island object, same id
     EXPECT_TRUE(rig.fabric->attached(3));
     rig.fabric->send(tune(1, 3, 7, 4.0));
-    rig.sim.runFor(2 * msec);
+    rig.runFor(2 * msec);
 
     // 1.0 before the leave + 4.0 after the rejoin; the attributed 9.0
     // stayed abandoned (exactly-once-or-abandoned, never replayed).
@@ -345,17 +436,19 @@ TEST(CoordChurnReparent, FallbackParentThatItselfCrashedFallsBackToRoot)
     TreeRig rig(p);
 
     rig.fabric->send(tune(1, 2, 0, 0.0)); // force the initial build
-    rig.sim.scheduleAt(100 * usec, [&] { rig.fabric->crash(2); });
-    rig.sim.scheduleAt(200 * usec, [&] { rig.fabric->crash(3); });
     EXPECT_EQ(rig.fabric->pendingReparentCount(), 0u);
-    rig.sim.runFor(1 * msec);
+    rig.runUntil(100 * usec);
+    rig.fabric->crash(2);
+    rig.runUntil(200 * usec);
+    rig.fabric->crash(3);
+    rig.runUntil(1 * msec);
     // 4,5 orphaned by 2 (fallback 3), 6,7 orphaned by 3 (fallback
     // would be 3 itself, so its own parent: the root).
     EXPECT_EQ(rig.fabric->pendingReparentCount(), 4u);
     rig.fabric->churnTick(rig.sim.now()); // 2ms not yet elapsed
     EXPECT_EQ(rig.fabric->pendingReparentCount(), 4u);
 
-    rig.sim.runFor(2 * msec);
+    rig.runFor(2 * msec);
     rig.fabric->churnTick(rig.sim.now());
     EXPECT_EQ(rig.fabric->pendingReparentCount(), 0u);
     EXPECT_EQ(rig.fabric->churnCounters().reparents, 4u);
@@ -365,7 +458,7 @@ TEST(CoordChurnReparent, FallbackParentThatItselfCrashedFallsBackToRoot)
 
     rig.fabric->send(tune(1, 4, 7, 2.0));
     rig.fabric->send(tune(1, 6, 7, 3.0));
-    rig.sim.runFor(2 * msec);
+    rig.runFor(2 * msec);
     EXPECT_EQ(rig.at(4).tuneSum(7), 2.0);
     EXPECT_EQ(rig.at(6).tuneSum(7), 3.0);
 }
@@ -381,16 +474,12 @@ TEST(CoordChurnReliable, AbandonDestinationCancelsRetryTimersWithNote)
     p.faults.lossProb = 1.0; // nothing ever arrives
     p.replayAttempts = 0;    // retries come from the sender only
 
-    Simulator sim;
-    StubIsland a(1, "a"), b(2, "b"), c(3, "c");
-    CoordFabric fabric(sim, p);
-    fabric.attach(a);
-    fabric.attach(b);
-    fabric.attach(c);
+    Rig rig(p, 3);
+    CoordFabric &fabric = *rig.fabric;
     ReliableSender::Params rp;
     rp.retryTimeout = 5 * msec;
     rp.maxAttempts = 8;
-    ReliableSender snd(sim, fabric, 1, rp);
+    ReliableSender snd(rig.sim, fabric, 1, rp);
     std::vector<CoordMessage> noted;
     snd.setAbandonObserver(
         [&](const CoordMessage &m) { noted.push_back(m); });
@@ -403,7 +492,7 @@ TEST(CoordChurnReliable, AbandonDestinationCancelsRetryTimersWithNote)
     snd.send(trigger(1, 2, 7), done);
     snd.send(trigger(1, 2, 8), done);
     snd.send(trigger(1, 3, 9)); // different destination: survives
-    sim.runFor(1 * msec);
+    rig.runFor(1 * msec);
     ASSERT_EQ(snd.pendingCount(), 3u);
 
     EXPECT_EQ(snd.abandonDestination(2), 2u);
@@ -418,7 +507,7 @@ TEST(CoordChurnReliable, AbandonDestinationCancelsRetryTimersWithNote)
     // island 2 ever fires again (only island 3's retries remain, and
     // its capped backoff exhausts all 8 attempts within ~235ms).
     const std::uint64_t wireAfter = fabric.stats().wireMessages.value();
-    sim.runFor(400 * msec);
+    rig.runFor(400 * msec);
     EXPECT_EQ(snd.pendingCount(), 0u); // 3's send exhausted naturally
     EXPECT_EQ(snd.abandoned(), 3u);
     const std::uint64_t wireDelta =
@@ -426,11 +515,11 @@ TEST(CoordChurnReliable, AbandonDestinationCancelsRetryTimersWithNote)
     EXPECT_LE(wireDelta, 7u); // island 3 retries only, no 2-bound ones
 
     // The announcer exposes the same hook for its supersede slots.
-    ReliableAnnouncer ann(sim, fabric);
+    ReliableAnnouncer ann(rig.sim, fabric);
     EntityBinding eb;
     eb.ref = EntityRef{1, 42};
     ann.announce(2, eb);
-    sim.runFor(1 * msec);
+    rig.runFor(1 * msec);
     EXPECT_EQ(ann.pendingCount(), 1u);
     EXPECT_EQ(ann.abandonDestination(2), 1u);
     EXPECT_EQ(ann.pendingCount(), 0u);
@@ -445,18 +534,14 @@ TEST(CoordChurnReliable, MultipleSendersShareOneEndpointsAcks)
     p.topology = FabricTopology::mesh;
     p.hopLatency = 10 * usec;
 
-    Simulator sim;
-    StubIsland a(1, "a"), b(2, "b"), c(3, "c");
-    CoordFabric fabric(sim, p);
-    fabric.attach(a);
-    fabric.attach(b);
-    fabric.attach(c);
+    Rig rig(p, 3);
+    CoordFabric &fabric = *rig.fabric;
 
-    auto s1 = std::make_unique<ReliableSender>(sim, fabric, 1);
-    auto s2 = std::make_unique<ReliableSender>(sim, fabric, 1);
+    auto s1 = std::make_unique<ReliableSender>(rig.sim, fabric, 1);
+    auto s2 = std::make_unique<ReliableSender>(rig.sim, fabric, 1);
     s1->send(trigger(1, 2, 7));
     s2->send(trigger(1, 3, 8));
-    sim.runFor(5 * msec);
+    rig.runFor(5 * msec);
     EXPECT_EQ(s1->acked(), 1u);
     EXPECT_EQ(s2->acked(), 1u);
     EXPECT_EQ(s1->pendingCount(), 0u);
@@ -466,7 +551,7 @@ TEST(CoordChurnReliable, MultipleSendersShareOneEndpointsAcks)
     // deafen the other.
     s2.reset();
     s1->send(trigger(1, 2, 9));
-    sim.runFor(5 * msec);
+    rig.runFor(5 * msec);
     EXPECT_EQ(s1->acked(), 2u);
     EXPECT_EQ(s1->pendingCount(), 0u);
 }
@@ -483,44 +568,21 @@ TEST(CoordChurnMonitor, CleanLeaveRetiresLanesWithoutSpuriousStall)
     p.faults.lossProb = 1.0; // sends enter the lane, never deliver
     p.replayAttempts = 0;    // no replay traffic to revive the lane
 
-    Simulator sim;
-    StubIsland a(1, "a"), b(2, "b"), c(3, "c");
-    CoordFabric fabric(sim, p);
-    fabric.attach(a);
-    fabric.attach(b);
-    fabric.attach(c);
+    Rig rig(p, 3);
+    CoordFabric &fabric = *rig.fabric;
 
     corm::obs::MetricRegistry reg;
     corm::obs::HealthMonitor::Params mp;
     mp.samplePeriod = 1 * msec;
     mp.stallTimeout = 5 * msec;
-    corm::obs::HealthMonitor mon(sim, reg, mp);
-    const auto wireLanes = [&] {
-        std::vector<std::string> live;
-        fabric.forEachLane([&](const std::string &lane_name,
-                               corm::interconnect::Mailbox &mb) {
-            const int lane = mon.lane(lane_name);
-            mb.setActivityObserver(
-                [&mon, lane](corm::interconnect::Mailbox::Activity act) {
-                    using A = corm::interconnect::Mailbox::Activity;
-                    if (act == A::sent)
-                        mon.laneSent(lane);
-                    else if (act == A::delivered)
-                        mon.laneDelivered(lane);
-                });
-            live.push_back(lane_name);
-        });
-        mon.retireLanesExcept(live);
-    };
-    wireLanes();
-    mon.start();
+    corm::obs::HealthMonitor mon(rig.sim, reg, mp);
+    LaneWatch watch(rig, mon, mp.samplePeriod);
 
     fabric.send(tune(1, 3, 7, 1.0)); // eaten: lane 1-3 now unanswered
-    sim.scheduleAt(1 * msec, [&] {
-        fabric.leave(3);
-        wireLanes(); // lanes to 3 are gone from the live set: retire
-    });
-    sim.runFor(50 * msec);
+    rig.runUntil(1 * msec);
+    fabric.leave(3);
+    watch.wire(); // lanes to 3 are gone from the live set: retire
+    rig.runUntil(50 * msec);
 
     EXPECT_EQ(mon.breaches(), 0u) << mon.healthReport();
     for (const auto &ev : mon.events())
@@ -548,37 +610,18 @@ TEST(CoordChurnMonitor, StallAcrossHubOutageDrivesReparentAndRecovers)
     mp.samplePeriod = 1 * msec;
     mp.stallTimeout = 5 * msec;
     corm::obs::HealthMonitor mon(rig.sim, reg, mp);
-    const auto wireLanes = [&] {
-        std::vector<std::string> live;
-        rig.fabric->forEachLane(
-            [&](const std::string &lane_name,
-                corm::interconnect::Mailbox &mb) {
-                const int lane = mon.lane(lane_name);
-                mb.setActivityObserver(
-                    [&mon,
-                     lane](corm::interconnect::Mailbox::Activity act) {
-                        using A = corm::interconnect::Mailbox::Activity;
-                        if (act == A::sent)
-                            mon.laneSent(lane);
-                        else if (act == A::delivered)
-                            mon.laneDelivered(lane);
-                    });
-                live.push_back(lane_name);
-            });
-        mon.retireLanesExcept(live);
-    };
-    wireLanes();
+    LaneWatch watch(rig, mon, mp.samplePeriod);
     bool reparented = false;
+    // Runs inside the monitor's poll, at a window barrier.
     mon.setPolicyCallback([&](const corm::obs::HealthEvent &ev) {
         if (ev.kind != corm::obs::HealthEvent::Kind::stall
             || reparented)
             return;
         reparented = true; // the watchdog says hub 2 is dead
-        rig.fabric->crash(2);
-        rig.fabric->reparentNow(rig.sim.now());
-        wireLanes();
+        rig.fabric->crash(2, watch.now);
+        rig.fabric->reparentNow(watch.now);
+        watch.wire();
     });
-    mon.start();
 
     ReliableSender::Params rp;
     rp.retryTimeout = 5 * msec;
@@ -589,7 +632,7 @@ TEST(CoordChurnMonitor, StallAcrossHubOutageDrivesReparentAndRecovers)
     rig.fabric->send(tune(1, 2, 0, 0.0));
     rig.sim.scheduleAt(300 * usec,
                        [&] { snd.send(tune(1, 4, 7, 5.0)); });
-    rig.sim.runFor(200 * msec);
+    rig.runFor(200 * msec);
 
     EXPECT_TRUE(reparented);
     EXPECT_EQ(rig.fabric->churnCounters().crashes, 1u);

@@ -13,6 +13,7 @@
 #include "coord/fabric.hpp"
 #include "coord/reliable.hpp"
 #include "platform/testbed.hpp"
+#include "sim/sharded.hpp"
 #include "sim/simulator.hpp"
 #include "xen/island.hpp"
 
@@ -151,11 +152,26 @@ TEST(ReliableAnnouncer, ReAnnouncementSupersedesPending)
 // CoordFabric
 //
 
+namespace {
+
+FabricParams
+fabricParams(FabricTopology topology, Tick hop_latency, IslandId hub = 0)
+{
+    FabricParams p;
+    p.topology = topology;
+    p.hopLatency = hop_latency;
+    p.hub = hub;
+    return p;
+}
+
+} // namespace
+
 TEST(CoordFabric, MeshDeliversInOneHop)
 {
-    Simulator sim;
+    ShardedEngine engine(1, 10 * usec);
     StubIsland a(1, "a"), b(2, "b"), c(3, "c");
-    CoordFabric fabric(sim, FabricTopology::mesh, 10 * usec);
+    CoordFabric fabric(engine,
+                       fabricParams(FabricTopology::mesh, 10 * usec));
     fabric.attach(a);
     fabric.attach(b);
     fabric.attach(c);
@@ -168,9 +184,9 @@ TEST(CoordFabric, MeshDeliversInOneHop)
     m.entity = 5;
     m.value = 2.0;
     fabric.send(m);
-    sim.runFor(9 * usec);
+    engine.runFor(9 * usec);
     EXPECT_TRUE(c.tunes.empty());
-    sim.runFor(2 * usec);
+    engine.runFor(2 * usec);
     ASSERT_EQ(c.tunes.size(), 1u);
     EXPECT_EQ(fabric.stats().hubRelays.value(), 0u);
     EXPECT_NEAR(fabric.stats().deliveryLatencyUs.mean(), 10.0, 0.5);
@@ -178,10 +194,10 @@ TEST(CoordFabric, MeshDeliversInOneHop)
 
 TEST(CoordFabric, StarRelaysThroughHubInTwoHops)
 {
-    Simulator sim;
+    ShardedEngine engine(1, 10 * usec);
     StubIsland hub(1, "hub"), b(2, "b"), c(3, "c");
-    CoordFabric fabric(sim, FabricTopology::star, 10 * usec,
-                       /*hub=*/1);
+    CoordFabric fabric(engine, fabricParams(FabricTopology::star,
+                                            10 * usec, /*hub=*/1));
     fabric.attach(hub);
     fabric.attach(b);
     fabric.attach(c);
@@ -192,9 +208,9 @@ TEST(CoordFabric, StarRelaysThroughHubInTwoHops)
     m.dst = 3;
     m.entity = 1;
     fabric.send(m);
-    sim.runFor(15 * usec);
+    engine.runFor(15 * usec);
     EXPECT_TRUE(c.triggers.empty()); // two hops = 20 us
-    sim.runFor(10 * usec);
+    engine.runFor(10 * usec);
     EXPECT_EQ(c.triggers.size(), 1u);
     EXPECT_EQ(fabric.stats().hubRelays.value(), 1u);
 
@@ -202,19 +218,20 @@ TEST(CoordFabric, StarRelaysThroughHubInTwoHops)
     CoordMessage to_hub = m;
     to_hub.dst = 1;
     fabric.send(to_hub);
-    sim.runFor(11 * usec);
+    engine.runFor(11 * usec);
     EXPECT_EQ(hub.triggers.size(), 1u);
 }
 
 TEST(CoordFabric, RegistrationsAreAcked)
 {
-    Simulator sim;
+    ShardedEngine engine(1, 5 * usec);
     StubIsland a(1, "a"), b(2, "b");
-    CoordFabric fabric(sim, FabricTopology::mesh, 5 * usec);
+    CoordFabric fabric(engine,
+                       fabricParams(FabricTopology::mesh, 5 * usec));
     fabric.attach(a);
     fabric.attach(b);
     int acks = 0;
-    fabric.setAckObserver([&](const CoordMessage &m) {
+    fabric.setAckObserver(1, [&](const CoordMessage &m) {
         ++acks;
         EXPECT_EQ(m.src, 2);
         EXPECT_EQ(m.entity, 9u);
@@ -228,23 +245,24 @@ TEST(CoordFabric, RegistrationsAreAcked)
     m.value = std::bit_cast<double>(
         static_cast<std::uint64_t>(corm::net::IpAddr(10, 1, 1, 1).v));
     fabric.send(m);
-    sim.runFor(1 * msec);
+    engine.runFor(1 * msec);
     EXPECT_EQ(b.bindings.size(), 1u);
     EXPECT_EQ(acks, 1);
 }
 
 TEST(CoordFabric, UnknownDestinationDropped)
 {
-    Simulator sim;
+    ShardedEngine engine(1, 5 * usec);
     StubIsland a(1, "a");
-    CoordFabric fabric(sim, FabricTopology::mesh, 5 * usec);
+    CoordFabric fabric(engine,
+                       fabricParams(FabricTopology::mesh, 5 * usec));
     fabric.attach(a);
     CoordMessage m;
     m.type = MsgType::tune;
     m.src = 1;
     m.dst = 9;
     fabric.send(m);
-    sim.runFor(1 * msec);
+    engine.runFor(1 * msec);
     EXPECT_EQ(fabric.stats().dropped.value(), 1u);
     EXPECT_EQ(fabric.stats().delivered.value(), 0u);
 }

@@ -5,6 +5,9 @@
  * and abandonment, multi-hop trace spans, the reliable announcer
  * across relay hops, and the fabric report (including the
  * unroutable-dropped line the two-island report never surfaced).
+ * One case per topology also runs on a 2-shard engine and must
+ * match the 1-shard outcome, so the direct API is exercised across
+ * threads (and under the TSan/ASan twins).
  */
 
 #include <gtest/gtest.h>
@@ -19,7 +22,7 @@
 #include "obs/trace.hpp"
 #include "obs/tracecheck.hpp"
 #include "platform/report.hpp"
-#include "sim/simulator.hpp"
+#include "sim/sharded.hpp"
 
 using namespace corm::sim;
 using namespace corm::coord;
@@ -64,29 +67,79 @@ class StubIsland : public ResourceIsland
     std::string name_;
 };
 
-/** A 7-island fanout-2 tree: 1 <- {2,3}, 2 <- {4,5}, 3 <- {6,7}. */
-struct TreeRig
+/**
+ * Islands 1..n on one fabric, run by an engine of @p shards shards.
+ * Island i lives on shard (i - 1) * shards / n, so island 1 (the
+ * hub, and the home of every reliable sender here) is on shard 0.
+ * Queued abandons reach the observer at every window barrier and
+ * after every run.
+ */
+struct Rig
 {
-    Simulator sim;
+    ShardedEngine engine;
+    Simulator &sim; ///< shard 0: island 1's events
     std::vector<std::unique_ptr<StubIsland>> islands;
     std::unique_ptr<CoordFabric> fabric;
 
-    explicit TreeRig(FabricParams p, int n = 7)
+    Rig(const FabricParams &p, int n, int shards = 1)
+        : engine(shards, p.hopLatency), sim(engine.sim(0))
     {
-        p.topology = FabricTopology::tree;
-        p.hub = 1;
-        p.treeFanout = 2;
-        fabric = std::make_unique<CoordFabric>(sim, p);
+        std::vector<int> shardOf(static_cast<std::size_t>(n) + 1, 0);
+        for (int i = 1; i <= n; ++i)
+            shardOf[static_cast<std::size_t>(i)] = (i - 1) * shards / n;
+        fabric = std::make_unique<CoordFabric>(engine, p, shardOf);
         for (int i = 1; i <= n; ++i) {
             islands.push_back(std::make_unique<StubIsland>(
                 static_cast<IslandId>(i),
                 "isl" + std::to_string(i)));
             fabric->attach(*islands.back());
         }
+        engine.setProbe([this](Tick) {
+            fabric->drainAbandoned();
+            return false;
+        });
+    }
+
+    void
+    runFor(Tick d)
+    {
+        engine.runFor(d);
+        fabric->drainAbandoned();
     }
 
     StubIsland &at(int id) { return *islands[id - 1]; }
 };
+
+/** A 7-island fanout-2 tree: 1 <- {2,3}, 2 <- {4,5}, 3 <- {6,7}. */
+struct TreeRig : Rig
+{
+    explicit TreeRig(FabricParams p, int n = 7, int shards = 1)
+        : Rig(treeParams(p), n, shards)
+    {}
+
+    static FabricParams
+    treeParams(FabricParams p)
+    {
+        p.topology = FabricTopology::tree;
+        p.hub = 1;
+        p.treeFanout = 2;
+        return p;
+    }
+};
+
+/** The shard-count-invariant fabric counters, for K=1 vs K=2. */
+std::vector<std::uint64_t>
+statCounts(const FabricStats &s)
+{
+    return {s.sent.value(),         s.delivered.value(),
+            s.dropped.value(),      s.hubRelays.value(),
+            s.wireMessages.value(), s.wireTunes.value(),
+            s.appliedTunes.value(), s.linkDrops.value(),
+            s.linkReplays.value(),  s.abandoned.value(),
+            s.duplicates.value(),   s.aggFolded.value(),
+            s.aggBatches.value(),   s.triggerBypass.value(),
+            s.retries.value(),      s.deliveryLatencyUs.count()};
+}
 
 CoordMessage
 tune(IslandId src, IslandId dst, EntityId e, double v)
@@ -116,9 +169,9 @@ TEST(CoordFabricTree, RoutesAlongTreePathsWithRelayAccounting)
     EXPECT_EQ(rig.fabric->hopCount(4, 6), 4); // 4-2-1-3-6
 
     rig.fabric->send(tune(4, 6, 11, 3.0));
-    rig.sim.runFor(39 * usec);
+    rig.runFor(39 * usec);
     EXPECT_TRUE(rig.at(6).tunes.empty()); // four hops = 40 us
-    rig.sim.runFor(2 * usec);
+    rig.runFor(2 * usec);
     ASSERT_EQ(rig.at(6).tunes.size(), 1u);
     EXPECT_EQ(rig.fabric->stats().hubRelays.value(), 3u);
     EXPECT_EQ(rig.fabric->stats().wireMessages.value(), 4u);
@@ -130,27 +183,40 @@ TEST(CoordFabricTree, HubAggregationPreservesExactDeltaSums)
     FabricParams p;
     p.hopLatency = 10 * usec;
     p.aggWindow = 200 * usec;
-    TreeRig rig(p);
+    std::vector<std::uint64_t> oneShard;
+    for (const int shards : {1, 2}) {
+        SCOPED_TRACE("shards=" + std::to_string(shards));
+        TreeRig rig(p, 7, shards);
 
-    // Three same-entity tunes from the root to a depth-2 leaf fold
-    // into one batch at the root; the batch relays through island 2
-    // and applies as a single message carrying the exact sum.
-    rig.fabric->send(tune(1, 4, 7, 2.0));
-    rig.fabric->send(tune(1, 4, 7, -5.0));
-    rig.fabric->send(tune(1, 4, 7, 4.0));
-    rig.sim.runFor(1 * msec);
+        // Three same-entity tunes from the root to a depth-2 leaf
+        // fold into one batch at the root; the batch relays through
+        // island 2 and applies as a single message carrying the
+        // exact sum. A fourth tune climbs from leaf 5 (shard 1 at
+        // K=2) to leaf 6 across the root.
+        rig.fabric->send(tune(1, 4, 7, 2.0));
+        rig.fabric->send(tune(1, 4, 7, -5.0));
+        rig.fabric->send(tune(1, 4, 7, 4.0));
+        rig.fabric->send(tune(5, 6, 8, 1.5));
+        rig.runFor(2 * msec);
 
-    ASSERT_EQ(rig.at(4).tunes.size(), 1u);
-    EXPECT_EQ(rig.at(4).tuneSum(7), 1.0); // exactly 2 - 5 + 4
-    const auto &fs = rig.fabric->stats();
-    EXPECT_EQ(fs.aggFolded.value(), 2u);
-    EXPECT_EQ(fs.appliedTunes.value(), 3u); // coalesced count
-    // One batch out of the root, re-bucketed once at island 2 (every
-    // hub on the path aggregates): two batches, two wire tunes for
-    // three logical tunes.
-    EXPECT_EQ(fs.aggBatches.value(), 2u);
-    EXPECT_EQ(fs.wireTunes.value(), 2u);
-    EXPECT_EQ(fs.hubRelays.value(), 1u);
+        ASSERT_EQ(rig.at(4).tunes.size(), 1u);
+        EXPECT_EQ(rig.at(4).tuneSum(7), 1.0); // exactly 2 - 5 + 4
+        EXPECT_EQ(rig.at(6).tuneSum(8), 1.5);
+        const auto &fs = rig.fabric->stats();
+        EXPECT_EQ(fs.aggFolded.value(), 2u);
+        EXPECT_EQ(fs.appliedTunes.value(), 4u); // coalesced count
+        // One batch out of the root, re-bucketed once at island 2
+        // (every hub on the path aggregates): two batches, two wire
+        // tunes for three logical tunes. Leaf 5's tune is bucketed
+        // at 2, at the root and at 3: three more batches.
+        EXPECT_EQ(fs.aggBatches.value(), 5u);
+        EXPECT_EQ(fs.wireTunes.value(), 6u);
+        EXPECT_EQ(fs.hubRelays.value(), 4u);
+        if (shards == 1)
+            oneShard = statCounts(fs);
+        else
+            EXPECT_EQ(statCounts(fs), oneShard);
+    }
 }
 
 TEST(CoordFabricTree, DeltaAtExactWindowCloseJoinsNextWindow)
@@ -168,7 +234,7 @@ TEST(CoordFabricTree, DeltaAtExactWindowCloseJoinsNextWindow)
     rig.fabric->send(tune(1, 2, 7, 1.0));
     rig.sim.scheduleAt(p.aggWindow,
                        [&] { rig.fabric->send(tune(1, 2, 7, 10.0)); });
-    rig.sim.runFor(1 * msec);
+    rig.runFor(1 * msec);
 
     const auto &fs = rig.fabric->stats();
     EXPECT_EQ(fs.aggBatches.value(), 2u);
@@ -193,7 +259,7 @@ TEST(CoordFabricTree, EntityMigrationMidWindowKeepsBucketsSeparate)
         rig.fabric->send(tune(1, 5, 7, 40.0)); // migrated
         rig.fabric->send(tune(1, 5, 7, 2.0));
     });
-    rig.sim.runFor(2 * msec);
+    rig.runFor(2 * msec);
 
     EXPECT_EQ(rig.at(4).tuneSum(7), 5.0);
     EXPECT_EQ(rig.at(5).tuneSum(7), 42.0);
@@ -218,13 +284,13 @@ TEST(CoordFabricTree, TriggersBypassTheAggregationWindow)
     trig.dst = 4;
     trig.entity = 7;
     rig.fabric->send(trig);
-    rig.sim.runFor(25 * usec); // two hops, well inside the window
+    rig.runFor(25 * usec); // two hops, well inside the window
 
     EXPECT_EQ(rig.at(4).triggers.size(), 1u);
     EXPECT_TRUE(rig.at(4).tunes.empty()); // tune still parked
     // Bypassed at the root and again at the island-2 relay.
     EXPECT_EQ(rig.fabric->stats().triggerBypass.value(), 2u);
-    rig.sim.runFor(3 * msec);
+    rig.runFor(3 * msec);
     EXPECT_EQ(rig.at(4).tunes.size(), 1u);
 }
 
@@ -237,20 +303,28 @@ TEST(CoordFabricFaults, LinkReplayRecoversAnOutageEatenMessage)
     p.replayBackoff = 2.0;
     p.faults.outages.push_back({0, 600 * usec});
 
-    Simulator sim;
-    StubIsland a(1, "a"), b(2, "b");
-    CoordFabric fabric(sim, p);
-    fabric.attach(a);
-    fabric.attach(b);
+    std::vector<std::uint64_t> oneShard;
+    for (const int shards : {1, 2}) {
+        SCOPED_TRACE("shards=" + std::to_string(shards));
+        Rig rig(p, 2, shards); // island 2 on shard 1 at K=2
 
-    fabric.send(tune(1, 2, 3, 1.5)); // eaten by the outage at t=0
-    sim.runFor(5 * msec);
+        rig.fabric->send(tune(1, 2, 3, 1.5)); // eaten at t=0
+        rig.fabric->send(tune(2, 1, 4, 2.5)); // ...and the reverse
+        rig.runFor(5 * msec);
 
-    ASSERT_EQ(b.tunes.size(), 1u);
-    EXPECT_EQ(b.tunes[0].second, 1.5);
-    EXPECT_GE(fabric.stats().linkDrops.value(), 1u);
-    EXPECT_GE(fabric.stats().linkReplays.value(), 1u);
-    EXPECT_EQ(fabric.stats().abandoned.value(), 0u);
+        ASSERT_EQ(rig.at(2).tunes.size(), 1u);
+        EXPECT_EQ(rig.at(2).tunes[0].second, 1.5);
+        ASSERT_EQ(rig.at(1).tunes.size(), 1u);
+        EXPECT_EQ(rig.at(1).tunes[0].second, 2.5);
+        const auto &fs = rig.fabric->stats();
+        EXPECT_GE(fs.linkDrops.value(), 2u);
+        EXPECT_GE(fs.linkReplays.value(), 2u);
+        EXPECT_EQ(fs.abandoned.value(), 0u);
+        if (shards == 1)
+            oneShard = statCounts(fs);
+        else
+            EXPECT_EQ(statCounts(fs), oneShard);
+    }
 }
 
 TEST(CoordFabricFaults, ReplayBudgetExhaustionAbandonsWithNote)
@@ -262,23 +336,19 @@ TEST(CoordFabricFaults, ReplayBudgetExhaustionAbandonsWithNote)
     p.replayTimeout = 100 * usec;
     p.faults.lossProb = 1.0; // the link eats everything
 
-    Simulator sim;
-    StubIsland a(1, "a"), b(2, "b");
-    CoordFabric fabric(sim, p);
-    fabric.attach(a);
-    fabric.attach(b);
+    Rig rig(p, 2);
     std::vector<CoordMessage> abandoned;
-    fabric.setAbandonObserver(
+    rig.fabric->setAbandonObserver(
         [&](const CoordMessage &m) { abandoned.push_back(m); });
 
-    fabric.send(tune(1, 2, 3, 2.0));
-    sim.runFor(10 * msec);
+    rig.fabric->send(tune(1, 2, 3, 2.0));
+    rig.runFor(10 * msec);
 
-    EXPECT_TRUE(b.tunes.empty());
-    EXPECT_EQ(fabric.stats().abandoned.value(), 1u);
+    EXPECT_TRUE(rig.at(2).tunes.empty());
+    EXPECT_EQ(rig.fabric->stats().abandoned.value(), 1u);
     // Original + two replays, all eaten.
-    EXPECT_EQ(fabric.stats().linkDrops.value(), 3u);
-    EXPECT_EQ(fabric.stats().linkReplays.value(), 2u);
+    EXPECT_EQ(rig.fabric->stats().linkDrops.value(), 3u);
+    EXPECT_EQ(rig.fabric->stats().linkReplays.value(), 2u);
     ASSERT_EQ(abandoned.size(), 1u);
     EXPECT_EQ(abandoned[0].entity, 3u);
     EXPECT_EQ(abandoned[0].value, 2.0);
@@ -287,23 +357,37 @@ TEST(CoordFabricFaults, ReplayBudgetExhaustionAbandonsWithNote)
 TEST(CoordFabricFaults, DuplicatedWireCopiesAreSuppressed)
 {
     FabricParams p;
+    p.topology = FabricTopology::star;
+    p.hub = 1;
     p.hopLatency = 10 * usec;
     p.faults.dupProb = 1.0;
 
-    TreeRig rig(p, 3); // 1 <- {2,3}; root relays 2 -> 3
-    ReliableSender sender(rig.sim, *rig.fabric, 2);
-    CoordMessage trig;
-    trig.type = MsgType::trigger;
-    trig.src = 2;
-    trig.dst = 3;
-    trig.entity = 9;
-    sender.send(trig);
-    rig.sim.runFor(20 * msec);
+    std::vector<std::uint64_t> oneShard;
+    for (const int shards : {1, 2}) {
+        SCOPED_TRACE("shards=" + std::to_string(shards));
+        // Hub 1 relays 2 -> 3; at K=2, island 3 is on shard 1, so
+        // the trigger and its ack both cross shards.
+        Rig rig(p, 3, shards);
+        ReliableSender sender(rig.sim, *rig.fabric, 2);
+        CoordMessage trig;
+        trig.type = MsgType::trigger;
+        trig.src = 2;
+        trig.dst = 3;
+        trig.entity = 9;
+        sender.send(trig);
+        rig.runFor(20 * msec);
 
-    EXPECT_EQ(rig.at(3).triggers.size(), 1u); // applied exactly once
-    EXPECT_EQ(sender.acked(), 1u);
-    EXPECT_EQ(sender.pendingCount(), 0u);
-    EXPECT_GE(rig.fabric->stats().duplicates.value(), 1u);
+        EXPECT_EQ(rig.at(3).triggers.size(), 1u); // applied once
+        EXPECT_EQ(sender.acked(), 1u);
+        EXPECT_EQ(sender.pendingCount(), 0u);
+        const auto &fs = rig.fabric->stats();
+        EXPECT_GE(fs.duplicates.value(), 1u);
+        EXPECT_EQ(fs.hubRelays.value(), 2u); // trigger and its ack
+        if (shards == 1)
+            oneShard = statCounts(fs);
+        else
+            EXPECT_EQ(statCounts(fs), oneShard);
+    }
 }
 
 TEST(CoordFabricReliable, AnnouncerSupersedeCrossesARelayHop)
@@ -319,11 +403,11 @@ TEST(CoordFabricReliable, AnnouncerSupersedeCrossesARelayHop)
     ann.announce(4, b1);
     // Re-announce with a new address while the first registration is
     // still relaying through island 2: the new binding supersedes.
-    rig.sim.runFor(60 * usec);
+    rig.runFor(60 * usec);
     EntityBinding b2 = b1;
     b2.ip = corm::net::IpAddr(10, 0, 0, 2);
     ann.announce(4, b2);
-    rig.sim.runFor(50 * msec);
+    rig.runFor(50 * msec);
 
     ASSERT_GE(rig.at(4).bindings.size(), 1u);
     EXPECT_EQ(rig.at(4).bindings.back().ip,
@@ -339,7 +423,7 @@ TEST(CoordFabricTrace, SpansSurviveMultiHopRelays)
     FabricParams p;
     p.hopLatency = 10 * usec;
     TreeRig rig(p);
-    rig.fabric->setTrace(&rec);
+    rig.fabric->setShardTrace({&rec});
 
     const int trk = rec.track("test", "policy");
     const corm::obs::TraceId id = rec.newFlow();
@@ -347,7 +431,7 @@ TEST(CoordFabricTrace, SpansSurviveMultiHopRelays)
     CoordMessage m = tune(4, 6, 11, 1.0); // 4-2-1-3-6: three relays
     m.trace = id;
     rig.fabric->send(m);
-    rig.sim.runFor(1 * msec);
+    rig.runFor(1 * msec);
 
     const auto r = corm::obs::checkTraceText(rec.json(), true, 3);
     for (const auto &v : r.violations)
@@ -368,22 +452,18 @@ TEST(CoordFabricTrace, DroppedAtHubLeavesDanglingSpanNotViolation)
     p.replayTimeout = 100 * usec;
     p.faults.lossProb = 1.0;
 
-    Simulator sim;
-    StubIsland a(1, "a"), b(2, "b");
-    CoordFabric fabric(sim, p);
-    fabric.attach(a);
-    fabric.attach(b);
-    fabric.setTrace(&rec);
+    Rig rig(p, 2);
+    rig.fabric->setShardTrace({&rec});
 
     const int trk = rec.track("test", "policy");
     const corm::obs::TraceId id = rec.newFlow();
-    rec.flowBegin(trk, sim.now(), id, "coord.span", "coord");
+    rec.flowBegin(trk, rig.sim.now(), id, "coord.span", "coord");
     CoordMessage m = tune(1, 2, 3, 1.0);
     m.trace = id;
-    fabric.send(m);
-    sim.runFor(10 * msec);
+    rig.fabric->send(m);
+    rig.runFor(10 * msec);
 
-    EXPECT_EQ(fabric.stats().abandoned.value(), 1u);
+    EXPECT_EQ(rig.fabric->stats().abandoned.value(), 1u);
     // Without the flow requirement the dangling span is legal (the
     // trace honestly shows where the message died)...
     const auto lax = corm::obs::checkTraceText(rec.json(), false);
@@ -400,8 +480,8 @@ TEST(CoordFabricTrace, EmptyFabricTraceIsStructurallyValid)
     corm::obs::TraceRecorder rec;
     FabricParams p;
     TreeRig rig(p);
-    rig.fabric->setTrace(&rec);
-    rig.sim.runFor(1 * msec); // no traffic at all
+    rig.fabric->setShardTrace({&rec});
+    rig.runFor(1 * msec); // no traffic at all
 
     const auto r = corm::obs::checkTraceText(rec.json(), false);
     EXPECT_TRUE(r.ok());
@@ -412,16 +492,17 @@ TEST(CoordFabricTrace, EmptyFabricTraceIsStructurallyValid)
 
 TEST(CoordFabricReport, SurfacesUnroutableDrops)
 {
-    Simulator sim;
-    StubIsland a(1, "a");
-    CoordFabric fabric(sim, FabricTopology::mesh, 5 * usec);
-    fabric.attach(a);
+    FabricParams p;
+    p.topology = FabricTopology::mesh;
+    p.hopLatency = 5 * usec;
+    Rig rig(p, 1);
 
-    fabric.send(tune(1, 9, 3, 1.0)); // island 9 does not exist
-    sim.runFor(1 * msec);
+    rig.fabric->send(tune(1, 9, 3, 1.0)); // island 9 does not exist
+    rig.runFor(1 * msec);
 
-    EXPECT_EQ(fabric.stats().dropped.value(), 1u);
-    const std::string report = corm::platform::fabricReport(fabric);
+    EXPECT_EQ(rig.fabric->stats().dropped.value(), 1u);
+    const std::string report =
+        corm::platform::fabricReport(*rig.fabric);
     EXPECT_NE(report.find("unroutable-dropped 1"), std::string::npos)
         << report;
     EXPECT_NE(report.find("mesh"), std::string::npos);
@@ -435,8 +516,8 @@ TEST(CoordFabricLanes, ExposesPerDirectionLanesAndQueueDepth)
     TreeRig rig(p, 3);
 
     std::vector<std::string> lanes;
-    rig.fabric->forEachLane(
-        [&](const std::string &name, corm::interconnect::Mailbox &) {
+    rig.fabric->forEachLaneId(
+        [&](const std::string &name, std::uint64_t) {
             lanes.push_back(name);
         });
     // Two tree links (1-2, 1-3), two directions each.
@@ -447,7 +528,7 @@ TEST(CoordFabricLanes, ExposesPerDirectionLanesAndQueueDepth)
               lanes.end());
 
     rig.fabric->send(tune(2, 3, 1, 1.0));
-    rig.sim.runFor(1 * msec);
+    rig.runFor(1 * msec);
     EXPECT_GE(rig.fabric->maxLaneQueueHighWater(), 1u);
     EXPECT_EQ(rig.fabric->wireSendsFrom(2), 1u);
     EXPECT_EQ(rig.fabric->wireSendsFrom(1), 1u); // the relay

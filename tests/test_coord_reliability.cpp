@@ -340,17 +340,27 @@ namespace {
 /** Three islands on a clean mesh: 1 sends densely to 2, rarely to 3. */
 struct WrapRig
 {
-    Simulator sim;
+    ShardedEngine engine{1, 10 * usec};
+    Simulator &sim = engine.sim(0);
     StubIsland a{1, "dense-src"};
     StubIsland b{2, "dense-dst"};
     StubIsland c{3, "rare-dst"};
     CoordFabric fabric;
 
-    WrapRig() : fabric(sim, FabricTopology::mesh, 10 * usec)
+    WrapRig() : fabric(engine, meshParams())
     {
         fabric.attach(a);
         fabric.attach(b);
         fabric.attach(c);
+    }
+
+    static FabricParams
+    meshParams()
+    {
+        FabricParams p;
+        p.topology = FabricTopology::mesh;
+        p.hopLatency = 10 * usec;
+        return p;
     }
 
     /**
@@ -371,7 +381,7 @@ struct WrapRig
         trig.dst = 3;
         trig.entity = 99;
         snd.send(trig); // seq 1: the stale window entry
-        sim.runFor(1 * msec);
+        engine.runFor(1 * msec);
 
         CoordMessage m;
         m.type = MsgType::tune;
@@ -381,10 +391,10 @@ struct WrapRig
         for (int i = 0; i < 254; ++i) { // seqs 2..255: one old cycle
             m.entity = static_cast<EntityId>(i);
             snd.send(m);
-            sim.runFor(200 * usec);
+            engine.runFor(200 * usec);
         }
         snd.send(trig); // 8-bit space: seq 1 again; 32-bit: seq 256
-        sim.runFor(5 * msec);
+        engine.runFor(5 * msec);
     }
 };
 

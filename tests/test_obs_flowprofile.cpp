@@ -88,7 +88,7 @@ class ExhaustStubIsland : public corm::coord::ResourceIsland
 } // namespace
 
 // A two-hop relayed tune: decide slice (flow begin at the slice's
-// END — the legacy channel convention), a shard-convention hop
+// END — the CoordChannel convention), a shard-convention hop
 // (flow step at the slice's start ts) and a channel-convention hop
 // (flow step at delivery), then an apply companion. Every gap must
 // land in the right leg, with no time double-counted.

@@ -8,6 +8,8 @@
  */
 
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -361,4 +363,41 @@ TEST(ShardDeterminism, ShardCountClampsToIslandCount)
         shardScenario(corm::coord::FabricTopology::tree, 3, 8, false));
     EXPECT_EQ(r.digest, base.digest);
     EXPECT_TRUE(r.converged);
+}
+
+TEST(ShardDeterminism, RejectsShardCountBelowOne)
+{
+    // A shard count below one is a configuration error that names
+    // the field.
+    for (const int shards : {0, -1}) {
+        SCOPED_TRACE("shards=" + std::to_string(shards));
+        try {
+            corm::platform::runFabricScenario(shardScenario(
+                corm::coord::FabricTopology::tree, 4, shards, false));
+            ADD_FAILURE() << "accepted shards=" << shards;
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find("shards"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
+TEST(ShardDeterminism, HubQueueDepthIsPlacementIndependent)
+{
+    // The lane queue depth (copies sent but not yet due) is counted
+    // by the sender, so a loaded tree reports the same non-zero
+    // high-water mark for every shard count.
+    auto c = shardScenario(corm::coord::FabricTopology::tree, 16, 1,
+                           true);
+    c.tunesPerPair = 20;
+    const auto base = corm::platform::runFabricScenario(c);
+    EXPECT_GT(base.hubQueueHighWater, 0u);
+    for (const int k : {2, 4}) {
+        SCOPED_TRACE("shards=" + std::to_string(k));
+        c.shards = k;
+        const auto r = corm::platform::runFabricScenario(c);
+        EXPECT_EQ(r.digest, base.digest);
+        EXPECT_EQ(r.hubQueueHighWater, base.hubQueueHighWater);
+    }
 }

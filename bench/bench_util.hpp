@@ -16,6 +16,8 @@
 
 #pragma once
 
+#include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
@@ -208,7 +210,20 @@ parseArgs(int argc, char **argv, const char *bench_name)
                 std::exit(2);
             }
         } else if (!std::strcmp(a, "--seed")) {
-            o.trial.seed = std::strtoull(numeric(a, i), nullptr, 0);
+            const char *v = numeric(a, i);
+            char *end = nullptr;
+            errno = 0;
+            o.trial.seed = std::strtoull(v, &end, 0);
+            // strtoull would skip blanks, negate a '-' and stop at
+            // the first non-digit; a seed is digits and nothing else.
+            if (!std::isdigit(static_cast<unsigned char>(*v))
+                || *end != '\0' || errno == ERANGE) {
+                std::fprintf(stderr,
+                             "%s: --seed must be a decimal or 0x-hex "
+                             "integer below 2^64, got '%s'\n",
+                             argv[0], v);
+                std::exit(2);
+            }
             o.seedSet = true;
         } else if (!std::strcmp(a, "--warmup-sec")) {
             o.warmupSec = std::atof(numeric(a, i));

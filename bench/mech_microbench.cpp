@@ -25,6 +25,31 @@ namespace {
 
 using namespace corm;
 
+/** An island that ignores every message it is sent. */
+struct Sink : coord::ResourceIsland
+{
+    coord::IslandId id_;
+    std::string name_ = "sink";
+    explicit Sink(coord::IslandId i) : id_(i) {}
+    coord::IslandId id() const override { return id_; }
+    const std::string &name() const override { return name_; }
+    void applyTune(coord::EntityId, double) override {}
+    void applyTrigger(coord::EntityId) override {}
+};
+
+/** Attach sinks with ids 1..n to @p fabric; the caller keeps them. */
+std::vector<std::unique_ptr<Sink>>
+attachSinks(coord::CoordFabric &fabric, int n)
+{
+    std::vector<std::unique_ptr<Sink>> sinks;
+    for (int i = 0; i < n; ++i) {
+        sinks.push_back(std::make_unique<Sink>(
+            static_cast<coord::IslandId>(i + 1)));
+        fabric.attach(*sinks.back());
+    }
+    return sinks;
+}
+
 void
 BM_EventScheduleDispatch(benchmark::State &state)
 {
@@ -251,22 +276,7 @@ BM_FabricMeshSend(benchmark::State &state)
     fp.topology = coord::FabricTopology::mesh;
     fp.hopLatency = 10 * sim::usec;
     coord::CoordFabric fabric(engine, fp);
-    struct Sink : coord::ResourceIsland
-    {
-        coord::IslandId id_;
-        std::string name_ = "sink";
-        explicit Sink(coord::IslandId i) : id_(i) {}
-        coord::IslandId id() const override { return id_; }
-        const std::string &name() const override { return name_; }
-        void applyTune(coord::EntityId, double) override {}
-        void applyTrigger(coord::EntityId) override {}
-    };
-    std::vector<std::unique_ptr<Sink>> sinks;
-    for (int i = 0; i < n; ++i) {
-        sinks.push_back(std::make_unique<Sink>(
-            static_cast<coord::IslandId>(i + 1)));
-        fabric.attach(*sinks.back());
-    }
+    const auto sinks = attachSinks(fabric, n);
     coord::CoordMessage m;
     m.type = coord::MsgType::tune;
     m.src = 1;
@@ -281,6 +291,47 @@ BM_FabricMeshSend(benchmark::State &state)
 BENCHMARK(BM_FabricMeshSend)->Arg(2)->Arg(16)->Arg(64);
 
 void
+BM_FabricTreeRelay(benchmark::State &state)
+{
+    // Host cost per leaf-to-far-leaf tune through a fanout-4 tree of
+    // N islands: the path crosses the root, so it relays at every
+    // level. The "hops" counter turns ns per message into ns per hop.
+    const int n = static_cast<int>(state.range(0));
+    constexpr int k = 4;
+    sim::ShardedEngine engine(1, 10 * sim::usec);
+    coord::FabricParams fp;
+    fp.topology = coord::FabricTopology::tree;
+    fp.treeFanout = k;
+    fp.hub = 1;
+    fp.hopLatency = 10 * sim::usec;
+    coord::CoordFabric fabric(engine, fp);
+    const auto sinks = attachSinks(fabric, n);
+    // BFS-heap layout over ids 1..n rooted at 1: the children of id
+    // are k * (id - 1) + 2 .. k * (id - 1) + k + 1. Descend from the
+    // root's first child by first children, and from its last child
+    // by last children.
+    int src = 2, dst = k + 1;
+    while (k * (src - 1) + 2 <= n)
+        src = k * (src - 1) + 2;
+    while (k * (dst - 1) + k + 1 <= n)
+        dst = k * (dst - 1) + k + 1;
+    const int hops = fabric.hopCount(static_cast<coord::IslandId>(src),
+                                     static_cast<coord::IslandId>(dst));
+    coord::CoordMessage m;
+    m.type = coord::MsgType::tune;
+    m.src = static_cast<coord::IslandId>(src);
+    m.dst = static_cast<coord::IslandId>(dst);
+    m.value = 1.0;
+    for (auto _ : state) {
+        fabric.send(m);
+        engine.runFor(hops * fp.hopLatency);
+    }
+    benchmark::DoNotOptimize(fabric.stats().delivered.value());
+    state.counters["hops"] = hops;
+}
+BENCHMARK(BM_FabricTreeRelay)->Arg(16)->Arg(256)->Arg(2048);
+
+void
 BM_ReliableRegistrationLossy(benchmark::State &state)
 {
     // Cost of one acknowledged registration through a 30%-lossy
@@ -290,16 +341,6 @@ BM_ReliableRegistrationLossy(benchmark::State &state)
         sim::Simulator simulator;
         platform::Testbed *unused = nullptr;
         (void)unused;
-        struct Sink : coord::ResourceIsland
-        {
-            coord::IslandId id_;
-            std::string name_ = "sink";
-            explicit Sink(coord::IslandId i) : id_(i) {}
-            coord::IslandId id() const override { return id_; }
-            const std::string &name() const override { return name_; }
-            void applyTune(coord::EntityId, double) override {}
-            void applyTrigger(coord::EntityId) override {}
-        };
         Sink a(1), b(2);
         coord::CoordChannel ch(simulator, a, b, 100 * sim::usec);
         ch.setLossProbability(0.3);

@@ -250,12 +250,12 @@ class CoordFabric : public CoordTransport
     void
     attach(ResourceIsland &island)
     {
-        islands[island.id()] = &island;
+        addMember(island);
         dirty = true;
     }
 
     /** Number of attached islands. */
-    std::size_t islandCount() const { return islands.size(); }
+    std::size_t islandCount() const { return liveCount; }
 
     /** Parameters in force. */
     const FabricParams &params() const { return cfg; }
@@ -274,7 +274,7 @@ class CoordFabric : public CoordTransport
         ensureBuilt();
         ShardState &st = stateFor(msg.src);
         st.stats.sent.add();
-        if (!islands.count(msg.dst) || !islands.count(msg.src)) {
+        if (!attached(msg.dst) || !attached(msg.src)) {
             // Routine under churn (a peer keeps sending to a
             // departed island for a beat), so debug, not warn. The
             // lost delta is attributed, not silently dropped.
@@ -282,8 +282,7 @@ class CoordFabric : public CoordTransport
             logger.debug("unroutable %s %u -> %u (%zu islands attached)",
                          msgTypeName(msg.type),
                          static_cast<unsigned>(msg.src),
-                         static_cast<unsigned>(msg.dst),
-                         islands.size());
+                         static_cast<unsigned>(msg.dst), liveCount);
             return;
         }
         if (msg.dst == msg.src) {
@@ -542,8 +541,9 @@ class CoordFabric : public CoordTransport
     maxWireSends() const
     {
         std::uint64_t m = 0;
-        for (const auto &[id, isl] : islands)
-            m = std::max(m, wireSendsFrom(id));
+        for (std::size_t id = 0; id < islands.size(); ++id)
+            if (islands[id])
+                m = std::max(m, wireFrom[id]);
         return m;
     }
 
@@ -566,8 +566,7 @@ class CoordFabric : public CoordTransport
     parentOf(IslandId island)
     {
         ensureBuilt();
-        auto it = parent.find(island);
-        return it == parent.end() ? island : it->second;
+        return island < parent.size() ? parent[island] : island;
     }
 
     /** Link hops between two attached islands (0 for self). */
@@ -577,7 +576,7 @@ class CoordFabric : public CoordTransport
         ensureBuilt();
         int hops = 0;
         IslandId at = from;
-        while (at != to && hops <= 2 * static_cast<int>(islands.size())) {
+        while (at != to && hops <= 2 * static_cast<int>(liveCount)) {
             at = nextHopFrom(at, to);
             ++hops;
         }
@@ -592,7 +591,11 @@ class CoordFabric : public CoordTransport
     // ------------------------------------------------------------------
 
     /** True while @p id is an attached (live) member. */
-    bool attached(IslandId id) const { return islands.count(id) != 0; }
+    bool
+    attached(IslandId id) const
+    {
+        return id < islands.size() && islands[id] != nullptr;
+    }
 
     /**
      * Route epoch: bumps on every membership or route change
@@ -623,7 +626,7 @@ class CoordFabric : public CoordTransport
      * Runtime join: attach @p island to a live fabric and wire it in
      * incrementally (mesh: links to every member; star: a link to
      * the hub; tree: under the first BFS-order node with spare
-     * fanout). Routes rebuild and the route epoch bumps — the
+     * fanout). The route epoch bumps — the
      * scenario layer re-announces bindings to the joiner through
      * ReliableAnnouncer supersede slots. Before the first build this
      * degenerates to attach().
@@ -631,21 +634,20 @@ class CoordFabric : public CoordTransport
     void
     join(ResourceIsland &island, corm::sim::Tick now = 0)
     {
-        if (dirty || islands.empty()) {
+        if (dirty || liveCount == 0) {
             attach(island);
             return;
         }
         const IslandId id = island.id();
-        if (islands.count(id))
+        if (attached(id))
             return;
         ChurnScope scope(*this, now);
-        islands[id] = &island;
-        growNodeTables(static_cast<std::size_t>(id) + 1);
+        addMember(island);
         switch (cfg.topology) {
           case FabricTopology::mesh:
-            for (const auto &[other, isl] : islands)
-                if (other != id)
-                    ensureLink(other, id);
+            for (std::size_t other = 0; other < islands.size(); ++other)
+                if (islands[other] && other != id)
+                    ensureLink(static_cast<IslandId>(other), id);
             break;
           case FabricTopology::star:
             if (id != hubId)
@@ -660,7 +662,6 @@ class CoordFabric : public CoordTransport
             }
             break;
         }
-        rebuildLiveRoutes();
         ++churn_.joins;
         ++routeEpoch_;
     }
@@ -678,7 +679,7 @@ class CoordFabric : public CoordTransport
     leave(IslandId id, corm::sim::Tick now = 0)
     {
         ensureBuilt();
-        if (!islands.count(id))
+        if (!attached(id))
             return;
         if (id == hubId) {
             logger.warn("leave(%u) ignored: the hub cannot depart",
@@ -691,7 +692,6 @@ class CoordFabric : public CoordTransport
         const std::vector<IslandId> orphans = detachNode(id);
         for (IslandId c : orphans)
             applyReparent(c, fb);
-        rebuildLiveRoutes();
         ++churn_.leaves;
         ++routeEpoch_;
     }
@@ -709,7 +709,7 @@ class CoordFabric : public CoordTransport
     crash(IslandId id, corm::sim::Tick now = 0)
     {
         ensureBuilt();
-        if (!islands.count(id))
+        if (!attached(id))
             return;
         if (id == hubId) {
             logger.warn("crash(%u) ignored: the hub cannot depart",
@@ -723,7 +723,6 @@ class CoordFabric : public CoordTransport
         const corm::sim::Tick at = nowFor(id);
         for (IslandId c : orphans)
             pendingReparents_.push_back({c, fb, at + cfg.reparentDelay});
-        rebuildLiveRoutes();
         ++churn_.crashes;
         ++routeEpoch_;
     }
@@ -754,7 +753,7 @@ class CoordFabric : public CoordTransport
                   corm::sim::Tick now = 0)
     {
         ensureBuilt();
-        if (src == dst || !islands.count(src) || !islands.count(dst))
+        if (src == dst || !attached(src) || !attached(dst))
             return false;
         const IslandId dstHome = resolveEntity(dst, entity);
         if (resolveEntity(src, entity) != src
@@ -933,12 +932,29 @@ class CoordFabric : public CoordTransport
     void
     growNodeTables(std::size_t span)
     {
-        if (wireFrom.size() < span) {
-            wireFrom.resize(span, 0);
-            wireInto.resize(span, 0);
-            aggDepth.resize(span, 0);
-            seen.resize(span);
-        }
+        const std::size_t old = islands.size();
+        if (old >= span)
+            return;
+        islands.resize(span, nullptr);
+        parent.resize(span);
+        for (std::size_t id = old; id < span; ++id)
+            parent[id] = static_cast<IslandId>(id);
+        children.resize(span);
+        wireFrom.resize(span, 0);
+        wireInto.resize(span, 0);
+        aggDepth.resize(span, 0);
+        seen.resize(span);
+    }
+
+    /** Record @p island as a live member (no links or tree edges). */
+    void
+    addMember(ResourceIsland &island)
+    {
+        const IslandId id = island.id();
+        growNodeTables(static_cast<std::size_t>(id) + 1);
+        if (!islands[id])
+            ++liveCount;
+        islands[id] = &island;
     }
 
     /** makeLink unless the endpoint pair is already live (a re-join
@@ -950,18 +966,6 @@ class CoordFabric : public CoordTransport
             makeLink(a, b);
     }
 
-    /** Rebuild routes over the live membership, dropping stale
-     *  entries that routed to or through departed nodes. */
-    void
-    rebuildLiveRoutes()
-    {
-        nextHop.clear();
-        std::vector<IslandId> ids;
-        for (const auto &[id, isl] : islands)
-            ids.push_back(id);
-        buildRoutes(ids);
-    }
-
     /** First BFS-order tree node with spare fanout (join placement —
      *  deterministic for a given call sequence). */
     IslandId
@@ -971,11 +975,10 @@ class CoordFabric : public CoordTransport
             static_cast<std::size_t>(std::max(1, cfg.treeFanout));
         std::vector<IslandId> q{hubId};
         for (std::size_t i = 0; i < q.size(); ++i) {
-            auto it = children.find(q[i]);
-            if (it == children.end() || it->second.size() < k)
+            const std::vector<IslandId> &kids = children[q[i]];
+            if (kids.size() < k)
                 return q[i];
-            for (IslandId c : it->second)
-                q.push_back(c);
+            q.insert(q.end(), kids.begin(), kids.end());
         }
         return hubId;
     }
@@ -986,11 +989,10 @@ class CoordFabric : public CoordTransport
     fallbackFor(IslandId id) const
     {
         if (cfg.fallbackParent != 0 && cfg.fallbackParent != id
-            && islands.count(cfg.fallbackParent))
+            && attached(cfg.fallbackParent))
             return cfg.fallbackParent;
-        auto it = parent.find(id);
-        if (it != parent.end() && islands.count(it->second))
-            return it->second;
+        if (parent[id] != id && attached(parent[id]))
+            return parent[id];
         return hubId;
     }
 
@@ -1001,13 +1003,12 @@ class CoordFabric : public CoordTransport
     {
         std::size_t guard = 0;
         IslandId at = node;
-        while (at != hubId && ++guard <= parent.size() + 1) {
+        while (at != hubId && ++guard <= liveCount + 1) {
             if (at == root)
                 return true;
-            auto it = parent.find(at);
-            if (it == parent.end())
+            if (parent[at] == at)
                 return false;
-            at = it->second;
+            at = parent[at];
         }
         return at == root;
     }
@@ -1022,29 +1023,20 @@ class CoordFabric : public CoordTransport
     std::vector<IslandId>
     detachNode(IslandId id)
     {
-        islands.erase(id);
+        islands[id] = nullptr;
+        --liveCount;
         for (auto it = links.begin(); it != links.end();) {
             if (it->second.lo == id || it->second.hi == id)
                 it = links.erase(it);
             else
                 ++it;
         }
-        std::vector<IslandId> orphans;
-        auto cit = children.find(id);
-        if (cit != children.end()) {
-            orphans = cit->second;
-            children.erase(cit);
-        }
-        auto pit = parent.find(id);
-        if (pit != parent.end()) {
-            auto up = children.find(pit->second);
-            if (up != children.end()) {
-                auto &v = up->second;
-                v.erase(std::remove(v.begin(), v.end(), id), v.end());
-                if (v.empty())
-                    children.erase(up);
-            }
-            parent.erase(pit);
+        std::vector<IslandId> orphans = std::move(children[id]);
+        children[id].clear();
+        if (parent[id] != id) {
+            auto &v = children[parent[id]];
+            v.erase(std::remove(v.begin(), v.end(), id), v.end());
+            parent[id] = id;
         }
         return orphans;
     }
@@ -1054,12 +1046,11 @@ class CoordFabric : public CoordTransport
     void
     applyReparent(IslandId child, IslandId fallback)
     {
-        if (!islands.count(child))
+        if (!attached(child))
             return; // departed while orphaned
-        if (!islands.count(fallback))
-            fallback = islands.count(cfg.fallbackParent)
-                           ? cfg.fallbackParent
-                           : hubId;
+        if (!attached(fallback))
+            fallback = attached(cfg.fallbackParent) ? cfg.fallbackParent
+                                                    : hubId;
         if (fallback == child || inSubtree(fallback, child))
             fallback = hubId;
         parent[child] = fallback;
@@ -1086,10 +1077,8 @@ class CoordFabric : public CoordTransport
             it = pendingReparents_.erase(it);
             changed = true;
         }
-        if (changed) {
-            rebuildLiveRoutes();
+        if (changed)
             ++routeEpoch_;
-        }
     }
 
     /**
@@ -1195,22 +1184,19 @@ class CoordFabric : public CoordTransport
             return;
         dirty = false;
         links.clear();
-        nextHop.clear();
-        parent.clear();
-        children.clear();
-        if (islands.empty())
+        for (std::size_t id = 0; id < islands.size(); ++id) {
+            parent[id] = static_cast<IslandId>(id);
+            children[id].clear();
+        }
+        if (liveCount == 0)
             return;
 
         std::vector<IslandId> ids;
-        for (const auto &[id, isl] : islands)
-            ids.push_back(id);
-        hubId = islands.count(cfg.hub) ? cfg.hub : ids.front();
-
-        // Size the node-indexed tables from the topology (islands is
-        // an ordered map, so ids.back() is the highest attached id).
-        // Grow-only: re-attachment rebuilds must not discard the
-        // accumulated per-node tallies or dedup windows.
-        growNodeTables(static_cast<std::size_t>(ids.back()) + 1);
+        ids.reserve(liveCount);
+        for (std::size_t id = 0; id < islands.size(); ++id)
+            if (islands[id])
+                ids.push_back(static_cast<IslandId>(id));
+        hubId = attached(cfg.hub) ? cfg.hub : ids.front();
 
         switch (cfg.topology) {
           case FabricTopology::mesh:
@@ -1237,11 +1223,9 @@ class CoordFabric : public CoordTransport
                 children[p].push_back(order[i]);
                 makeLink(p, order[i]);
             }
-            parent[hubId] = hubId;
             break;
           }
         }
-        buildRoutes(ids);
         ++routeEpoch_;
     }
 
@@ -1276,41 +1260,28 @@ class CoordFabric : public CoordTransport
         link.laneHiLo.to = link.lo;
     }
 
-    void
-    buildRoutes(const std::vector<IslandId> &ids)
-    {
-        for (IslandId from : ids) {
-            for (IslandId to : ids) {
-                if (from == to)
-                    continue;
-                IslandId next = to;
-                switch (cfg.topology) {
-                  case FabricTopology::mesh:
-                    next = to;
-                    break;
-                  case FabricTopology::star:
-                    next = (from == hubId) ? to : hubId;
-                    break;
-                  case FabricTopology::tree:
-                    next = treeNextHop(from, to);
-                    break;
-                }
-                nextHop[routeKey(from, to)] = next;
-            }
-        }
-    }
-
-    static std::uint32_t
-    routeKey(IslandId from, IslandId to)
-    {
-        return (static_cast<std::uint32_t>(from) << 16) | to;
-    }
-
+    /**
+     * Next hop from @p from toward @p to, computed from the live
+     * topology: mesh goes direct, star relays through the hub, tree
+     * follows the tree path. A self-route or a pair with an
+     * unattached end answers @p to; wireSend attributes the missing
+     * link. Churn mutates the topology only on the coordinator, so
+     * shard threads only ever read it.
+     */
     IslandId
     nextHopFrom(IslandId from, IslandId to) const
     {
-        auto it = nextHop.find(routeKey(from, to));
-        return it == nextHop.end() ? to : it->second;
+        if (from == to || !attached(from) || !attached(to))
+            return to;
+        switch (cfg.topology) {
+          case FabricTopology::mesh:
+            return to;
+          case FabricTopology::star:
+            return from == hubId ? to : hubId;
+          case FabricTopology::tree:
+            return treeNextHop(from, to);
+        }
+        return to;
     }
 
     /**
@@ -1321,31 +1292,28 @@ class CoordFabric : public CoordTransport
      * attributes the message instead of throwing here.
      */
     IslandId
-    treeNextHop(IslandId from, IslandId to)
+    treeNextHop(IslandId from, IslandId to) const
     {
         // Climb from `to` toward the root; if we pass `from`, the
         // hop below it is the downward next hop. Otherwise `to` is
-        // not in from's subtree and the next hop is from's parent.
+        // not in from's subtree and the next hop is from's parent
+        // (from itself when it has none).
         IslandId at = to;
         IslandId below = to;
         std::size_t guard = 0;
         while (at != hubId) {
-            auto it = parent.find(at);
-            if (it == parent.end() || ++guard > parent.size())
+            const IslandId p = parent[at];
+            if (p == at || ++guard > liveCount)
                 return from;
-            const IslandId p = it->second;
             if (p == from)
                 return at;
             below = at;
             at = p;
         }
-        if (from == hubId)
-            return below;
-        auto it = parent.find(from);
-        return it == parent.end() ? from : it->second;
+        return from == hubId ? below : parent[from];
     }
 
-    bool isTreeHub(IslandId node) const { return children.count(node); }
+    bool isTreeHub(IslandId node) const { return !children[node].empty(); }
 
     /**
      * Forward @p msg from @p node toward msg.dst: fold eligible
@@ -1725,13 +1693,12 @@ class CoordFabric : public CoordTransport
                  int hops)
     {
         ShardState &sst = stateFor(msg.dst);
-        auto dit = islands.find(msg.dst);
-        if (dit == islands.end()) {
+        if (!attached(msg.dst)) {
             // Destination departed while the message was in flight.
             dropAttributed(msg.dst, msg, msg.src, msg.dst);
             return;
         }
-        ResourceIsland &dst = *dit->second;
+        ResourceIsland &dst = *islands[msg.dst];
         if (!migrated_.empty()
             && (msg.type == MsgType::tune
                 || msg.type == MsgType::trigger)) {
@@ -2013,16 +1980,20 @@ class CoordFabric : public CoordTransport
     mutable FabricStats merged_; ///< stats() scratch (several shards)
     IslandId hubId = 0;
     bool dirty = true;
-    std::map<IslandId, ResourceIsland *> islands;
     std::map<std::uint32_t, Link> links;
-    std::map<std::uint32_t, IslandId> nextHop;
-    std::map<IslandId, IslandId> parent;
-    std::map<IslandId, std::vector<IslandId>> children;
-    // Node-indexed tallies, sized from the attached topology at
-    // ensureBuilt() (highest island id + 1): the 16-bit id space is
-    // too large for fixed flat tables, and small runs shouldn't pay
-    // for islands they never attach. Each entry has a single writer
-    // (the owner shard), and the vectors only grow, never shrink.
+    // Node tables indexed by island id, sized at attach() to the
+    // highest attached id + 1: the 16-bit id space is too large for
+    // fixed flat tables, and small runs shouldn't pay for islands
+    // they never attach. Grow-only, so re-attachment rebuilds keep
+    // the accumulated per-node tallies and dedup windows. Membership
+    // and the tree change only on the coordinator; each tally entry
+    // has a single writer (the owner shard).
+    std::vector<ResourceIsland *> islands; ///< nullptr: not attached
+    std::size_t liveCount = 0;             ///< non-null islands entries
+    /** Tree parent; an id mapping to itself has none (the root, a
+     *  non-tree fabric, a departed node). */
+    std::vector<IslandId> parent;
+    std::vector<std::vector<IslandId>> children;
     std::vector<std::uint64_t> wireFrom;
     std::vector<std::uint64_t> wireInto;
     std::vector<std::size_t> aggDepth;

@@ -1,7 +1,8 @@
 /**
  * @file
  * Dynamic-fabric churn tests: runtime island join/leave, hub crash
- * with delayed re-parenting, live entity migration with dedup-stable
+ * with delayed re-parenting, hop counts that track the topology
+ * through churn, live entity migration with dedup-stable
  * forwarding, retry-timer cancellation for departed destinations,
  * shared ack-observer endpoints, and the watchdog -> re-parent policy
  * loop (stall fires across a hub outage, then recovers; cleanly
@@ -22,6 +23,7 @@
 #include "coord/reliable.hpp"
 #include "obs/metrics.hpp"
 #include "obs/monitor.hpp"
+#include "route_oracle.hpp"
 #include "sim/sharded.hpp"
 
 using namespace corm::sim;
@@ -254,6 +256,112 @@ TEST(CoordChurnLeave, LeaveWithOpenAggregationWindowsLosesNoDelta)
     rig.fabric->send(tune(1, 5, 8, 2.0));
     rig.runFor(2 * msec);
     EXPECT_EQ(rig.at(5).tuneSum(8), 2.0);
+}
+
+TEST(CoordChurnRoutes, HopCountsTrackTheTopologyThroughChurn)
+{
+    // Sparse ids and a hub that is not the lowest id. After the
+    // build and after every join, leave, crash and re-parent, routes
+    // computed from the live topology must give the topology's own
+    // distance for every pair of connected members; while a crashed
+    // hub's orphans await re-parenting, a tune to one is an
+    // unroutable drop that reaches the abandon observer.
+    using corm::coord::testing::expectRoutesMatchTopology;
+    using corm::coord::testing::pathToRoot;
+    const std::vector<IslandId> ids = {3, 7, 12, 20, 21, 40, 41, 55, 90, 200};
+    const IslandId hub = 40, joiner = 150;
+    struct Case
+    {
+        FabricTopology topology;
+        int fanout;
+    };
+    for (const Case c : {Case{FabricTopology::mesh, 4},
+                         Case{FabricTopology::star, 4},
+                         Case{FabricTopology::tree, 1},
+                         Case{FabricTopology::tree, 2},
+                         Case{FabricTopology::tree, 4}}) {
+        SCOPED_TRACE(std::string(fabricTopologyName(c.topology))
+                     + " fanout " + std::to_string(c.fanout));
+        FabricParams p;
+        p.topology = c.topology;
+        p.treeFanout = c.fanout;
+        p.hub = hub;
+        p.hopLatency = 10 * usec;
+        ShardedEngine engine(1, p.hopLatency);
+        CoordFabric fabric(engine, p);
+        std::vector<CoordMessage> abandoned;
+        fabric.setAbandonObserver(
+            [&](const CoordMessage &m) { abandoned.push_back(m); });
+        std::vector<std::unique_ptr<StubIsland>> islands;
+        for (IslandId id : ids) {
+            islands.push_back(std::make_unique<StubIsland>(
+                id, "isl" + std::to_string(id)));
+            fabric.attach(*islands.back());
+        }
+        std::vector<IslandId> live = ids;
+        const auto depart = [&](IslandId id) {
+            live.erase(std::find(live.begin(), live.end(), id));
+        };
+        // Live non-hub members with children, ascending (tree only).
+        const auto interior = [&] {
+            std::vector<IslandId> out;
+            for (IslandId x : live)
+                for (IslandId y : live)
+                    if (x != hub && y != x && fabric.parentOf(y) == x) {
+                        out.push_back(x);
+                        break;
+                    }
+            std::sort(out.begin(), out.end());
+            return out;
+        };
+        expectRoutesMatchTopology(fabric, hub, live);
+
+        StubIsland late(joiner, "late");
+        fabric.join(late);
+        live.push_back(joiner);
+        expectRoutesMatchTopology(fabric, hub, live);
+
+        // Leave the first interior node: its children re-bind at once.
+        const bool tree = c.topology == FabricTopology::tree;
+        const IslandId leaver = tree ? interior().front() : 3;
+        fabric.leave(leaver);
+        depart(leaver);
+        expectRoutesMatchTopology(fabric, hub, live);
+
+        // Crash the last interior node: its children are orphaned
+        // until the re-parent.
+        const IslandId crashed = tree ? interior().back() : 200;
+        std::vector<IslandId> orphans;
+        for (IslandId y : live)
+            if (y != crashed && fabric.parentOf(y) == crashed)
+                orphans.push_back(y);
+        fabric.crash(crashed);
+        depart(crashed);
+        EXPECT_EQ(fabric.pendingReparentCount(), orphans.size());
+        EXPECT_EQ(orphans.empty(), !tree);
+        std::vector<IslandId> connected;
+        for (IslandId x : live)
+            if (!tree || pathToRoot(fabric, x).back() == hub)
+                connected.push_back(x);
+        EXPECT_EQ(connected.size(), live.size() - orphans.size());
+        expectRoutesMatchTopology(fabric, hub, connected);
+        for (IslandId orphan : orphans) {
+            const std::uint64_t dropped = fabric.stats().dropped.value();
+            fabric.send(tune(hub, orphan, 9, 1.5));
+            fabric.drainAbandoned();
+            EXPECT_EQ(fabric.stats().dropped.value(), dropped + 1);
+            ASSERT_FALSE(abandoned.empty());
+            EXPECT_EQ(abandoned.back().dst, orphan);
+            EXPECT_EQ(abandoned.back().value, 1.5);
+        }
+        EXPECT_EQ(abandoned.size(), orphans.size());
+
+        fabric.reparentNow(0);
+        EXPECT_EQ(fabric.pendingReparentCount(), 0u);
+        expectRoutesMatchTopology(fabric, hub, live);
+        engine.runFor(1 * msec);
+        EXPECT_EQ(fabric.stats().wireMessages.value(), 0u);
+    }
 }
 
 TEST(CoordChurnCrash, UnackedInFlightTunesRedrivenExactlyOnceAcrossReparent)

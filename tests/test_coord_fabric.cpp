@@ -1,8 +1,10 @@
 /**
  * @file
  * Tests for the scale-out coordination fabric: tree routing and
- * hub-relay accounting, aggregation-window edge cases, link replay
- * and abandonment, multi-hop trace spans, the reliable announcer
+ * hub-relay accounting, hop counts against the topology's own
+ * distances (sparse ids, and a 16384-island tree that an all-pairs
+ * route table could not hold), aggregation-window edge cases, link
+ * replay and abandonment, multi-hop trace spans, the reliable announcer
  * across relay hops, and the fabric report (including the
  * unroutable-dropped line the two-island report never surfaced).
  * One case per topology also runs on a 2-shard engine and must
@@ -22,6 +24,7 @@
 #include "obs/trace.hpp"
 #include "obs/tracecheck.hpp"
 #include "platform/report.hpp"
+#include "route_oracle.hpp"
 #include "sim/sharded.hpp"
 
 using namespace corm::sim;
@@ -176,6 +179,95 @@ TEST(CoordFabricTree, RoutesAlongTreePathsWithRelayAccounting)
     EXPECT_EQ(rig.fabric->stats().hubRelays.value(), 3u);
     EXPECT_EQ(rig.fabric->stats().wireMessages.value(), 4u);
     EXPECT_NEAR(rig.fabric->stats().hopsPerDelivery.mean(), 4.0, 0.01);
+}
+
+TEST(CoordFabricRoutes, HopCountsMatchTheTopologyOnSparseIds)
+{
+    // Sparse ids attached out of order, and a hub that is not the
+    // lowest id: routes computed from the topology must give the
+    // topology's own distance for every ordered pair, and a tune must
+    // take exactly that many wire hops.
+    const std::vector<IslandId> ids = {41, 3, 200, 12, 40,
+                                       7,  90, 21, 55, 20};
+    const IslandId hub = 40;
+    struct Case
+    {
+        FabricTopology topology;
+        int fanout;
+    };
+    for (const Case c : {Case{FabricTopology::mesh, 4},
+                         Case{FabricTopology::star, 4},
+                         Case{FabricTopology::tree, 1},
+                         Case{FabricTopology::tree, 2},
+                         Case{FabricTopology::tree, 4}}) {
+        SCOPED_TRACE(std::string(fabricTopologyName(c.topology))
+                     + " fanout " + std::to_string(c.fanout));
+        FabricParams p;
+        p.topology = c.topology;
+        p.treeFanout = c.fanout;
+        p.hub = hub;
+        p.hopLatency = 10 * usec;
+        ShardedEngine engine(1, p.hopLatency);
+        CoordFabric fabric(engine, p);
+        std::vector<std::unique_ptr<StubIsland>> islands;
+        for (IslandId id : ids) {
+            islands.push_back(std::make_unique<StubIsland>(
+                id, "isl" + std::to_string(id)));
+            fabric.attach(*islands.back());
+        }
+        corm::coord::testing::expectRoutesMatchTopology(fabric, hub, ids);
+
+        fabric.send(tune(3, 200, 1, 1.0));
+        engine.runFor(1 * msec);
+        EXPECT_EQ(fabric.stats().delivered.value(), 1u);
+        EXPECT_EQ(fabric.stats().hopsPerDelivery.mean(),
+                  corm::coord::testing::expectedHops(fabric, hub, 3, 200));
+    }
+}
+
+TEST(CoordFabricRoutes, SixteenThousandIslandTreeNeedsNoPairTable)
+{
+    // An all-pairs route table over 16384 islands would hold ~268M
+    // entries; routes computed from the tree cost O(depth) per hop,
+    // so building the fabric and relaying one tune stays cheap.
+    constexpr int n = 16384;
+    constexpr int k = 4;
+    FabricParams p;
+    p.topology = FabricTopology::tree;
+    p.hub = 1;
+    p.treeFanout = k;
+    p.hopLatency = 10 * usec;
+    Rig rig(p, n);
+
+    // BFS-heap layout over ids 1..n rooted at 1.
+    const auto up = [](int id) { return (id - 2) / k + 1; };
+    const auto depth = [&](int id) {
+        int d = 0;
+        for (; id != 1; id = up(id))
+            ++d;
+        return d;
+    };
+    // A depth-7 leaf under the root's first child, and the last id
+    // (under its last child): the path crosses the root.
+    const int src = 5462, dst = n;
+    int a = src, b = dst;
+    while (a != b) {
+        if (depth(a) >= depth(b))
+            a = up(a);
+        else
+            b = up(b);
+    }
+    const int hops = depth(src) + depth(dst) - 2 * depth(a);
+
+    EXPECT_EQ(rig.fabric->parentOf(dst), up(dst));
+    EXPECT_EQ(rig.fabric->hopCount(src, dst), hops);
+    rig.fabric->send(tune(src, dst, 3, 2.5));
+    rig.runFor(1 * msec);
+    ASSERT_EQ(rig.at(dst).tunes.size(), 1u);
+    EXPECT_EQ(rig.at(dst).tuneSum(3), 2.5);
+    EXPECT_EQ(rig.fabric->stats().hopsPerDelivery.mean(), hops);
+    EXPECT_EQ(rig.fabric->stats().hubRelays.value(),
+              static_cast<std::uint64_t>(hops - 1));
 }
 
 TEST(CoordFabricTree, HubAggregationPreservesExactDeltaSums)

@@ -1,7 +1,7 @@
 /**
  * @file
  * Window-local trace capture for the sharded engine, merged at
- * generation barriers (DESIGN.md §11).
+ * window barriers (DESIGN.md §11).
  *
  * Under ShardedEngine, islands run concurrently inside a lookahead
  * window, so a single TraceRecorder would be a data race and — worse
@@ -88,7 +88,7 @@ class ShardCapture
 
     /**
      * Merge and clear every shard's window buffer. Must run with all
-     * workers parked (a generation barrier or after runUntil).
+     * workers parked (the window barrier probe or after runUntil).
      */
     void mergeWindow()
     {

@@ -9,11 +9,13 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "obs/flowprofile.hpp"
 #include "obs/monitor.hpp"
@@ -488,6 +490,47 @@ class ShardIsland final : public coord::ResourceIsland
     std::string name_;
 };
 
+/**
+ * Island index -> shard, balanced by routed load. Each island weighs
+ * as many islands as route to the root through it: its subtree size
+ * on a tree (the fabric's BFS-heap layout over ascending ids, root
+ * first), every island on a star for the hub, itself alone
+ * otherwise. The root is pinned to shard 0; the rest go
+ * longest-first (ties by index) onto the least-loaded shard (ties by
+ * shard index) — greedy LPT, a pure function of (params, n, K).
+ */
+std::vector<int>
+placeIslands(const coord::FabricParams &fp, int n, int K)
+{
+    const auto nn = static_cast<std::size_t>(n);
+    std::vector<std::uint64_t> weight(nn, 1);
+    if (fp.topology == coord::FabricTopology::tree) {
+        const std::size_t k =
+            static_cast<std::size_t>(std::max(1, fp.treeFanout));
+        for (std::size_t i = nn - 1; i > 0; --i)
+            weight[(i - 1) / k] += weight[i];
+    } else if (fp.topology == coord::FabricTopology::star) {
+        weight[0] = nn;
+    }
+    std::vector<std::size_t> order(nn - 1);
+    for (std::size_t i = 1; i < nn; ++i)
+        order[i - 1] = i;
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return weight[a] > weight[b];
+                     });
+    std::vector<int> shardOf(nn, 0);
+    std::vector<std::uint64_t> load(static_cast<std::size_t>(K), 0);
+    load[0] = weight[0];
+    for (std::size_t i : order) {
+        const auto least = static_cast<std::size_t>(
+            std::min_element(load.begin(), load.end()) - load.begin());
+        shardOf[i] = static_cast<int>(least);
+        load[least] += weight[i];
+    }
+    return shardOf;
+}
+
 } // namespace
 
 FabricScenarioResult
@@ -518,12 +561,11 @@ runFabricScenario(const FabricScenarioConfig &cfg)
     // per-message state) stay single-shard and race-free.
     corm::sim::ShardedEngine engine(K, fp.hopLatency, cfg.seed);
     std::vector<int> shardOf(
-        static_cast<std::size_t>(cfg.firstIslandId + n), 0);
-    // Contiguous id-ordered placement: island index i lands on shard
-    // i*K/n, so the root (i == 0) is always on shard 0.
-    for (int i = 0; i < n; ++i)
-        shardOf[static_cast<std::size_t>(cfg.firstIslandId + i)] =
-            static_cast<int>(static_cast<long long>(i) * K / n);
+        static_cast<std::size_t>(cfg.firstIslandId), 0);
+    // Load-balanced placement (placeIslands): the root is pinned to
+    // shard 0, the hubs every route crosses spread across shards.
+    const std::vector<int> placed = placeIslands(fp, n, K);
+    shardOf.insert(shardOf.end(), placed.begin(), placed.end());
     corm::sim::Simulator &sim = engine.sim(0);
     // Trace capture: every shard gets a window-local recorder, merged
     // at barriers in canonical order, so the merged JSON is
@@ -729,13 +771,31 @@ runFabricScenario(const FabricScenarioConfig &cfg)
                            "coord");
     };
 
-    // Pre-size the event queues for the up-front scheduled workload,
-    // so heap growth never lands mid-run (Simulator::reserve).
-    const std::size_t expectedSends =
-        static_cast<std::size_t>(std::max(n - 1, 1))
-        * static_cast<std::size_t>(std::max(cfg.tiers, 1))
-        * static_cast<std::size_t>(std::max(cfg.tunesPerPair, 1)) * 2;
-    engine.reserve(expectedSends / static_cast<std::size_t>(K) + 256);
+    // One root send, shared by reference: each scheduled tune then
+    // captures 48 bytes and stays inside SmallCallback's buffer.
+    const auto rootSend = [&fabric,
+                           beginSpan](coord::CoordMessage msg) {
+        beginSpan(msg);
+        fabric.send(msg);
+    };
+
+    // Pre-size each shard's event slots for the up-front scheduled
+    // workload, so slot-table growth never lands mid-run
+    // (Simulator::reserve): every island's load reports on its own
+    // shard, and every root tune on shard 0.
+    const std::size_t streamSends =
+        static_cast<std::size_t>(std::max(cfg.tiers, 1))
+        * static_cast<std::size_t>(std::max(cfg.tunesPerPair, 1));
+    std::vector<std::size_t> expectedSends(static_cast<std::size_t>(K),
+                                           256);
+    expectedSends[0] += static_cast<std::size_t>(n - 1) * streamSends;
+    for (int i = 1; i < n; ++i)
+        expectedSends[static_cast<std::size_t>(
+            shardOf[static_cast<std::size_t>(rootId + i)])] +=
+            streamSends;
+    for (int k = 0; k < K; ++k)
+        engine.sim(k).reserve(
+            expectedSends[static_cast<std::size_t>(k)]);
     const Tick span = std::max<Tick>(cfg.workloadSpan, 1);
     // Tunes fire in policy epochs (the paper's managers evaluate
     // periodically), with a small per-sender skew. Bursting is what
@@ -750,6 +810,9 @@ runFabricScenario(const FabricScenarioConfig &cfg)
         for (int t = 0; t < cfg.tiers; ++t) {
             const auto tier =
                 tierBase + static_cast<coord::EntityId>(t);
+            // Integer deltas sum exactly in any order, so each
+            // pair's intent is folded in once, after its stream.
+            double downIntent = 0.0, upIntent = 0.0;
             for (int k = 0; k < cfg.tunesPerPair; ++k) {
                 // Root -> shard allocation tune (aggregates at tree
                 // hubs along the downward path, per shard + tier).
@@ -767,13 +830,9 @@ runFabricScenario(const FabricScenarioConfig &cfg)
                     m.dst = shard;
                     m.entity = tier;
                     m.value = d;
-                    intent[intentKey(shard, tier)] += d;
+                    downIntent += d;
                     ++r.logicalTunes;
-                    sim.scheduleAt(at, [&fabric, beginSpan, m] {
-                        auto msg = m;
-                        beginSpan(msg);
-                        fabric.send(msg);
-                    });
+                    sim.scheduleAt(at, [&rootSend, m] { rootSend(m); });
                 }
                 // Shard -> root load report for the same shared tier
                 // entity (aggregates across shards at hubs).
@@ -791,7 +850,7 @@ runFabricScenario(const FabricScenarioConfig &cfg)
                     m.dst = rootId;
                     m.entity = tier;
                     m.value = d;
-                    intent[intentKey(rootId, tier)] += d;
+                    upIntent += d;
                     ++r.logicalTunes;
                     // A send must run on the shard owning its source.
                     engine.sim(shardOf[shard]).scheduleAt(at, [&fabric, m] {
@@ -816,6 +875,10 @@ runFabricScenario(const FabricScenarioConfig &cfg)
                         triggerSender.send(msg);
                     });
                 }
+            }
+            if (cfg.tunesPerPair > 0) {
+                intent[intentKey(shard, tier)] += downIntent;
+                intent[intentKey(rootId, tier)] += upIntent;
             }
         }
     }
@@ -1169,6 +1232,8 @@ runFabricScenario(const FabricScenarioConfig &cfg)
     r.boundaryBatches = es.batches;
     r.boundaryDepthHighWater = es.maxBoundaryDepth;
     r.barrierWaitNs = es.barrierWaitNs;
+    for (int k = 0; k < K; ++k)
+        r.shardEvents.push_back(engine.sim(k).executedEvents());
     return r;
 }
 

@@ -287,8 +287,9 @@ struct FabricScenarioConfig
     /**
      * Event-loop shards running concurrently within the trial (>= 1;
      * runFabricScenario throws std::invalid_argument otherwise). The
-     * islands are partitioned contiguously by id across that many
-     * ShardedEngine simulators (clamped to the island count); every
+     * islands are spread across that many ShardedEngine simulators
+     * (clamped to the island count) by the load routed through each,
+     * the root on shard 0 (DESIGN.md §11); every
      * wire hop crosses a window barrier, so results are
      * digest-identical for any shard count. Capture rides along:
      * trace and monitorLanes use window-local per-shard recorders
@@ -520,6 +521,9 @@ struct FabricScenarioResult
     std::uint64_t boundaryMessages = 0;
     std::uint64_t boundaryBatches = 0;
     std::size_t boundaryDepthHighWater = 0;
+    /** Events each shard simulator dispatched (the partition's load
+     *  split; deterministic for a fixed shard count). */
+    std::vector<std::uint64_t> shardEvents;
     /**
      * Host nanoseconds the coordinator spent parked at barriers.
      * Wall-clock, nondeterministic — keep it out of digests, replay

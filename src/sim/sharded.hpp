@@ -18,13 +18,17 @@
  *
  * Cross-shard traffic crosses only at window barriers. During a
  * window each shard appends ShardMessage PODs to per-(src, dst)
- * boundary queues — single-writer per queue, read exclusively by the
- * coordinator while every worker is parked at the barrier, so the
- * mutex/condvar generation barrier provides all the happens-before
- * the queues need (no atomics in the hot path, clean under TSan).
- * Between windows the coordinator drains the queues, sorts each
- * destination's arrivals into the canonical (when, lane, seq) order
- * and injects them into the destination Simulator as batch events.
+ * boundary queues — single-writer per queue. After the window every
+ * shard meets at a barrier, then each destination shard drains its
+ * own inbound queues on its own thread: it sorts its arrivals into
+ * the canonical (when, lane, seq) order and injects them into its
+ * Simulator as batch events. A second barrier hands the drained
+ * shards back to the coordinator, which runs the probe and plans the
+ * next window. The barriers are atomic counters (release/acquire:
+ * all the happens-before the queues need, clean under TSan) that
+ * spin briefly and then park on a mutex/condvar — a worker that had
+ * to park for the last window spins only 200 us for the next — and
+ * never spin when the shards outnumber the host's hardware threads.
  *
  * Determinism contract: the window sequence is a pure function of
  * the global live-event set (Simulator::nextEventAt() deliberately
@@ -46,9 +50,11 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <chrono>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -154,25 +160,21 @@ class ShardedEngine
      */
     ShardedEngine(int shards, Tick lookahead,
                   std::uint64_t seed = 0x5eedc0de5eedc0deULL)
-        : nShards_(shards > 1 ? shards : 1), lookahead_(lookahead)
+        : nShards_(shards > 1 ? shards : 1), lookahead_(lookahead),
+          spin_(static_cast<unsigned>(nShards_) <= hardwareThreads())
     {
         assert(lookahead_ > 0 && "lookahead must be positive");
-        sims_.reserve(static_cast<std::size_t>(nShards_));
+        const auto k = static_cast<std::size_t>(nShards_);
+        sims_.reserve(k);
         for (int i = 0; i < nShards_; ++i) {
             sims_.push_back(std::make_unique<Simulator>());
             rngs_.push_back(Rng::stream(
                 seed, static_cast<std::uint64_t>(i)));
         }
-        sinks_.resize(static_cast<std::size_t>(nShards_));
-        postedBy_.assign(static_cast<std::size_t>(nShards_), 0);
-        receivedBy_.assign(static_cast<std::size_t>(nShards_), 0);
-        outbox_.resize(static_cast<std::size_t>(nShards_));
-        for (auto &row : outbox_)
-            row.resize(static_cast<std::size_t>(nShards_));
-        ingress_.resize(static_cast<std::size_t>(nShards_));
-        consumed_.assign(static_cast<std::size_t>(nShards_), 0);
-        workers_.reserve(
-            static_cast<std::size_t>(nShards_ > 1 ? nShards_ - 1 : 0));
+        sinks_.resize(k);
+        shards_.resize(k);
+        outbox_.resize(k * k);
+        workers_.reserve(k - 1);
         for (int i = 1; i < nShards_; ++i)
             workers_.emplace_back([this, i] { workerLoop(i); });
     }
@@ -182,11 +184,8 @@ class ShardedEngine
 
     ~ShardedEngine()
     {
-        {
-            std::lock_guard<std::mutex> lk(m_);
-            quit_ = true;
-        }
-        cvWork_.notify_all();
+        quit_.store(true);
+        wake();
         for (auto &w : workers_)
             w.join();
     }
@@ -242,23 +241,8 @@ class ShardedEngine
     {
         assert(m.when >= windowEnd_ &&
                "boundary message violates the lookahead contract");
-        outbox_[static_cast<std::size_t>(src)]
-               [static_cast<std::size_t>(dst)]
-                   .push_back(m);
-        // Single-writer like the outbox row itself; read only at
-        // barriers under the generation barrier's happens-before.
-        ++postedBy_[static_cast<std::size_t>(src)];
-    }
-
-    /** Pre-size every shard simulator (Simulator::reserve). */
-    void
-    reserve(std::size_t eventsPerShard)
-    {
-        for (auto &s : sims_)
-            s->reserve(eventsPerShard);
-        for (auto &row : outbox_)
-            for (auto &q : row)
-                q.reserve(64);
+        outbox(src, dst).push_back(m);
+        ++shards_[static_cast<std::size_t>(src)].posted;
     }
 
     /**
@@ -274,7 +258,8 @@ class ShardedEngine
         // Boundary messages posted between runs (scenario setup
         // traffic) sit in the outboxes, not in any simulator yet:
         // inject them before planning the first window.
-        drainAndInject();
+        for (int d = 0; d < nShards_; ++d)
+            drainInto(d);
         for (;;) {
             Tick minNext = maxTick;
             for (auto &s : sims_)
@@ -285,9 +270,8 @@ class ShardedEngine
                                   ? until
                                   : minNext + lookahead_;
             runWindow(wEnd);
-            ++stats_.windows;
+            ++windows_;
             clock_ = wEnd;
-            drainAndInject();
             if (probe_ && probe_(wEnd)) {
                 stopped_ = true;
                 return;
@@ -313,8 +297,21 @@ class ShardedEngine
         return n;
     }
 
-    /** Engine-level counters. */
-    const ShardEngineStats &stats() const { return stats_; }
+    /** Engine-level counters (read at barriers or between runs). */
+    ShardEngineStats
+    stats() const
+    {
+        ShardEngineStats st;
+        st.windows = windows_;
+        st.barrierWaitNs = barrierWaitNs_;
+        for (const PerShard &p : shards_) {
+            st.messages += p.received;
+            st.batches += p.batches;
+            st.maxBoundaryDepth =
+                std::max(st.maxBoundaryDepth, p.maxDepth);
+        }
+        return st;
+    }
 
     // Per-shard self-observability. Deterministic for a fixed shard
     // count (they describe the partition, so they differ across
@@ -325,20 +322,29 @@ class ShardedEngine
     std::uint64_t
     postedBy(int shard) const
     {
-        return postedBy_[static_cast<std::size_t>(shard)];
+        return shards_[static_cast<std::size_t>(shard)].posted;
     }
 
     /** Boundary messages injected into @p shard so far. */
     std::uint64_t
     receivedBy(int shard) const
     {
-        return receivedBy_[static_cast<std::size_t>(shard)];
+        return shards_[static_cast<std::size_t>(shard)].received;
     }
 
   private:
+    /** A boundary message's canonical sort key. */
+    struct OrderKey
+    {
+        Tick when;
+        std::uint64_t lane;
+        std::uint64_t seq;
+        const ShardMessage *msg;
+    };
+
     /** Canonical boundary order: (when, lane, seq). */
     static bool
-    canonicalBefore(const ShardMessage &a, const ShardMessage &b)
+    canonicalBefore(const OrderKey &a, const OrderKey &b)
     {
         if (a.when != b.when)
             return a.when < b.when;
@@ -347,106 +353,243 @@ class ShardedEngine
         return a.seq < b.seq;
     }
 
-    void
-    workerLoop(int idx)
+    /** One (src, dst) boundary queue, alone on its cache line(s). */
+    struct alignas(64) Outbox
     {
-        std::uint64_t seenGen = 0;
-        for (;;) {
-            {
-                std::unique_lock<std::mutex> lk(m_);
-                cvWork_.wait(lk, [&] {
-                    return quit_ || generation_ != seenGen;
-                });
-                if (quit_)
-                    return;
-                seenGen = generation_;
+        std::vector<ShardMessage> msgs;
+    };
+
+    /**
+     * State one shard writes every window, padded so that no two
+     * shards' counters share a cache line. `posted` is written by the
+     * shard as a source; everything else by the shard as a
+     * destination (its drain and its batch events).
+     */
+    struct alignas(64) PerShard
+    {
+        std::uint64_t posted = 0;
+        std::uint64_t received = 0;
+        std::uint64_t batches = 0;
+        std::size_t maxDepth = 0;
+        /** Payload arena the batch events index into. */
+        std::vector<ShardMessage> ingress;
+        /** Arena entries already delivered. */
+        std::size_t consumed = 0;
+        /** Drain scratch: this window's arrivals, being ordered. */
+        std::vector<OrderKey> keys;
+    };
+
+    /** A barrier counter on its own cache line. */
+    struct alignas(64) Counter
+    {
+        std::atomic<std::uint64_t> value{0};
+    };
+
+    std::vector<ShardMessage> &
+    outbox(int src, int dst)
+    {
+        return outbox_[static_cast<std::size_t>(src * nShards_ + dst)]
+            .msgs;
+    }
+
+    /**
+     * Wait until @p c reaches @p target (or the engine quits): spin
+     * on the counter — pausing for pauseSpin, then yielding until
+     * @p spinFor has passed — only when every shard can have its own
+     * hardware thread, then park on the condvar.
+     * @return true if the wait had to park.
+     */
+    bool
+    await(const Counter &c, std::uint64_t target,
+          std::chrono::microseconds spinFor)
+    {
+        const auto reached = [&] {
+            return c.value.load(std::memory_order_acquire) >= target
+                || quit_.load(std::memory_order_relaxed);
+        };
+        if (spin_) {
+            using Clock = std::chrono::steady_clock;
+            const Clock::time_point start = Clock::now();
+            const Clock::time_point yieldAt = start + pauseSpin;
+            const Clock::time_point deadline = start + spinFor;
+            bool yielding = false;
+            for (unsigned i = 1; !reached(); ++i) {
+                if (yielding)
+                    std::this_thread::yield();
+                else
+                    cpuRelax();
+                if (yielding || i % 64 == 0) {
+                    const Clock::time_point now = Clock::now();
+                    if (now > deadline)
+                        break;
+                    yielding = now > yieldAt;
+                }
             }
-            sims_[static_cast<std::size_t>(idx)]->runUntil(target_);
-            {
-                std::lock_guard<std::mutex> lk(m_);
-                if (--running_ == 0)
-                    cvDone_.notify_one();
-            }
+            if (reached())
+                return false;
+        }
+        std::unique_lock<std::mutex> lk(m_);
+        parked_.fetch_add(1);
+        cv_.wait(lk, [&] {
+            return c.value.load() >= target || quit_.load();
+        });
+        parked_.fetch_sub(1);
+        return true;
+    }
+
+    /** Advance @p c by one and wake whoever parked on it. */
+    void
+    arrive(Counter &c)
+    {
+        c.value.fetch_add(1);
+        wake();
+    }
+
+    void
+    wake()
+    {
+        // seq_cst against await()'s parked_ increment: either the
+        // waiter sees the new count, or this sees the waiter. Passing
+        // through m_ puts a waiter that checked the count under m_
+        // to sleep before the notify.
+        if (parked_.load() != 0) {
+            { std::lock_guard<std::mutex> lk(m_); }
+            cv_.notify_all();
         }
     }
 
-    /** Run every shard to @p wEnd; blocks until all are parked. */
+    /** The host's hardware threads, asked once per process (the
+     *  query reads sysfs, which costs more than a small engine's
+     *  whole set-up). */
+    static unsigned
+    hardwareThreads()
+    {
+        static const unsigned n = std::thread::hardware_concurrency();
+        return n;
+    }
+
+    static void
+    cpuRelax()
+    {
+#if defined(__x86_64__) || defined(__i386__)
+        __builtin_ia32_pause();
+#endif
+    }
+
+    /** Window body of shard @p idx: run, meet, drain own inbound. */
+    void
+    shardWindow(int idx, std::uint64_t gen)
+    {
+        sims_[static_cast<std::size_t>(idx)]->runUntil(windowEnd_);
+        arrive(ran_);
+        await(ran_, gen * static_cast<std::uint64_t>(nShards_),
+              barrierSpin);
+        drainInto(idx);
+    }
+
+    void
+    workerLoop(int idx)
+    {
+        // Windows that follow each other closely keep a worker
+        // spinning the full budget for the next one; a gap it had to
+        // park through (set-up or harvest between runs) drops it to
+        // the short budget until windows come quickly again.
+        std::chrono::microseconds gapSpin = windowGapSpin;
+        for (std::uint64_t gen = 1;; ++gen) {
+            gapSpin = await(go_, gen, gapSpin) ? windowGapSpin
+                                               : barrierSpin;
+            if (quit_.load())
+                return;
+            shardWindow(idx, gen);
+            arrive(drained_);
+        }
+    }
+
+    /**
+     * Run every shard to @p wEnd and drain every shard's inbound
+     * queues; blocks until all are parked.
+     */
     void
     runWindow(Tick wEnd)
     {
         windowEnd_ = wEnd;
         if (nShards_ == 1) {
             sims_[0]->runUntil(wEnd);
+            drainInto(0);
             return;
         }
-        {
-            std::lock_guard<std::mutex> lk(m_);
-            target_ = wEnd;
-            running_ = nShards_ - 1;
-            ++generation_;
-        }
-        cvWork_.notify_all();
-        sims_[0]->runUntil(wEnd); // shard 0 rides the caller's thread
+        const std::uint64_t gen = windows_ + 1;
+        arrive(go_);
+        // Shard 0 rides the caller's thread.
+        sims_[0]->runUntil(wEnd);
         const auto parkedAt = std::chrono::steady_clock::now();
-        std::unique_lock<std::mutex> lk(m_);
-        cvDone_.wait(lk, [&] { return running_ == 0; });
-        stats_.barrierWaitNs += static_cast<std::uint64_t>(
+        arrive(ran_);
+        await(ran_, gen * static_cast<std::uint64_t>(nShards_),
+              barrierSpin);
+        const auto drainAt = std::chrono::steady_clock::now();
+        drainInto(0);
+        const auto drainedAt = std::chrono::steady_clock::now();
+        await(drained_,
+              gen * static_cast<std::uint64_t>(nShards_ - 1),
+              barrierSpin);
+        barrierWaitNs_ += static_cast<std::uint64_t>(
             std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - parkedAt)
+                (drainAt - parkedAt)
+                + (std::chrono::steady_clock::now() - drainedAt))
                 .count());
     }
 
     /**
-     * Barrier work: move every boundary message into its
-     * destination's ingress arena in canonical order and schedule
-     * one batch event per equal-timestamp run.
+     * Barrier work of destination @p d, on its own thread: move every
+     * message bound for @p d into its ingress arena in canonical
+     * order and schedule one batch event per equal-timestamp run.
      */
     void
-    drainAndInject()
+    drainInto(int d)
     {
-        for (int d = 0; d < nShards_; ++d) {
-            const auto dd = static_cast<std::size_t>(d);
-            auto &arena = ingress_[dd];
-            if (!arena.empty() && consumed_[dd] == arena.size()) {
-                // Fully drained: recycle the arena's memory. Indices
-                // held by still-pending batch events would dangle,
-                // hence the full-consumption check.
-                arena.clear();
-                consumed_[dd] = 0;
-            }
-            scratch_.clear();
-            for (int s = 0; s < nShards_; ++s) {
-                auto &q = outbox_[static_cast<std::size_t>(s)][dd];
-                stats_.maxBoundaryDepth =
-                    std::max(stats_.maxBoundaryDepth, q.size());
-                scratch_.insert(scratch_.end(), q.begin(), q.end());
-                q.clear();
-            }
-            if (scratch_.empty())
-                continue;
-            std::sort(scratch_.begin(), scratch_.end(),
-                      canonicalBefore);
-            const std::size_t base = arena.size();
-            arena.insert(arena.end(), scratch_.begin(),
-                         scratch_.end());
-            stats_.messages += scratch_.size();
-            receivedBy_[dd] += scratch_.size();
-            std::size_t i = 0;
-            while (i < scratch_.size()) {
-                std::size_t j = i + 1;
-                while (j < scratch_.size()
-                       && scratch_[j].when == scratch_[i].when)
-                    ++j;
-                const std::size_t at = base + i;
-                const std::uint32_t count =
-                    static_cast<std::uint32_t>(j - i);
-                sims_[dd]->scheduleAt(
-                    scratch_[i].when, [this, d, at, count] {
-                        deliverRun(d, at, count);
-                    });
-                ++stats_.batches;
-                i = j;
-            }
+        PerShard &me = shards_[static_cast<std::size_t>(d)];
+        auto &arena = me.ingress;
+        if (!arena.empty() && me.consumed == arena.size()) {
+            // Fully drained: recycle the arena's memory. Indices
+            // held by still-pending batch events would dangle,
+            // hence the full-consumption check.
+            arena.clear();
+            me.consumed = 0;
+        }
+        // Order 32-byte keys rather than the 80-byte messages, then
+        // copy each message once, straight into the arena.
+        auto &keys = me.keys;
+        keys.clear();
+        for (int s = 0; s < nShards_; ++s) {
+            const auto &q = outbox(s, d);
+            me.maxDepth = std::max(me.maxDepth, q.size());
+            for (const ShardMessage &m : q)
+                keys.push_back({m.when, m.lane, m.seq, &m});
+        }
+        if (keys.empty())
+            return;
+        std::sort(keys.begin(), keys.end(), canonicalBefore);
+        const std::size_t base = arena.size();
+        for (const OrderKey &k : keys)
+            arena.push_back(*k.msg);
+        for (int s = 0; s < nShards_; ++s)
+            outbox(s, d).clear();
+        const std::size_t end = arena.size();
+        me.received += end - base;
+        Simulator &sim = *sims_[static_cast<std::size_t>(d)];
+        std::size_t i = base;
+        while (i < end) {
+            const Tick when = arena[i].when;
+            std::size_t j = i + 1;
+            while (j < end && arena[j].when == when)
+                ++j;
+            const std::uint32_t count =
+                static_cast<std::uint32_t>(j - i);
+            sim.scheduleAt(when, [this, d, at = i, count] {
+                deliverRun(d, at, count);
+            });
+            ++me.batches;
+            i = j;
         }
     }
 
@@ -456,43 +599,48 @@ class ShardedEngine
     {
         const auto dd = static_cast<std::size_t>(d);
         Sink &sink = sinks_[dd];
+        PerShard &me = shards_[dd];
         for (std::uint32_t k = 0; k < count; ++k)
-            sink(ingress_[dd][at + k]);
-        consumed_[dd] += count;
+            sink(me.ingress[at + k]);
+        me.consumed += count;
     }
+
+    /** Spin budgets before a wait parks: in-window barriers (and a
+     *  worker's wait for the next window while windows come quickly),
+     *  and a worker's wait for the next window after a long gap. The
+     *  first pauseSpin of any spin pauses, the rest yields. */
+    static constexpr std::chrono::microseconds barrierSpin{2000};
+    static constexpr std::chrono::microseconds windowGapSpin{200};
+    static constexpr std::chrono::microseconds pauseSpin{50};
 
     const int nShards_;
     const Tick lookahead_;
+    /** Spin at barriers: every shard has a hardware thread. */
+    const bool spin_;
     std::vector<std::unique_ptr<Simulator>> sims_;
     std::vector<Rng> rngs_;
     std::vector<Sink> sinks_;
     Probe probe_;
 
-    /** outbox_[src][dst]: written by src mid-window, drained at the
-     *  barrier by the coordinator. */
-    std::vector<std::vector<std::vector<ShardMessage>>> outbox_;
-    /** Per-destination payload arena batch events index into. */
-    std::vector<std::vector<ShardMessage>> ingress_;
-    /** Arena entries already delivered (written by the owner shard). */
-    std::vector<std::size_t> consumed_;
-    std::vector<ShardMessage> scratch_; ///< coordinator sort buffer
-    /** postedBy_[src]: written by src's thread (like its outbox row);
-     *  receivedBy_[dst]: written by the coordinator at barriers. */
-    std::vector<std::uint64_t> postedBy_;
-    std::vector<std::uint64_t> receivedBy_;
+    /** outbox_[src * K + dst]: written by src mid-window, drained by
+     *  dst after the window's first barrier. */
+    std::vector<Outbox> outbox_;
+    std::vector<PerShard> shards_;
 
     Tick clock_ = 0;
     Tick windowEnd_ = 0;
     bool stopped_ = false;
-    ShardEngineStats stats_;
+    std::uint64_t windows_ = 0;
+    std::uint64_t barrierWaitNs_ = 0;
 
-    // Generation barrier for the persistent workers.
+    // Window barrier for the persistent workers. Cumulative counts:
+    // window g starts at go_ == g, its shards have run once ran_
+    // reaches g*K, and have drained once drained_ reaches g*(K-1).
+    Counter go_, ran_, drained_;
+    std::atomic<bool> quit_{false};
+    std::atomic<int> parked_{0};
     std::mutex m_;
-    std::condition_variable cvWork_, cvDone_;
-    std::uint64_t generation_ = 0;
-    int running_ = 0;
-    Tick target_ = 0;
-    bool quit_ = false;
+    std::condition_variable cv_;
     std::vector<std::thread> workers_;
 };
 

@@ -290,46 +290,131 @@ BM_FabricMeshSend(benchmark::State &state)
 }
 BENCHMARK(BM_FabricMeshSend)->Arg(2)->Arg(16)->Arg(64);
 
+/**
+ * Islands 1..n on a fanout-4 tree rooted at 1 (BFS-heap layout: the
+ * children of id are 4 * (id - 1) + 2 .. 4 * (id - 1) + 5), plus the
+ * leaf-to-far-leaf pair BM_FabricTreeRelay uses: from a leaf under
+ * the root's first child to a leaf under its last, so the path
+ * relays at every level.
+ */
+struct TreeFabric
+{
+    static constexpr int k = 4;
+    sim::ShardedEngine engine{1, 10 * sim::usec};
+    coord::CoordFabric fabric;
+    std::vector<std::unique_ptr<Sink>> sinks;
+    coord::IslandId src = 2, dst = k + 1;
+    int hops = 0;
+
+    TreeFabric(int n, coord::FabricParams fp)
+        : fabric(engine, treeParams(fp)), sinks(attachSinks(fabric, n))
+    {
+        int s = src, d = dst;
+        while (k * (s - 1) + 2 <= n)
+            s = k * (s - 1) + 2;
+        while (k * (d - 1) + k + 1 <= n)
+            d = k * (d - 1) + k + 1;
+        src = static_cast<coord::IslandId>(s);
+        dst = static_cast<coord::IslandId>(d);
+        hops = fabric.hopCount(src, dst);
+    }
+
+    static coord::FabricParams
+    treeParams(coord::FabricParams fp)
+    {
+        fp.topology = coord::FabricTopology::tree;
+        fp.treeFanout = k;
+        fp.hub = 1;
+        fp.hopLatency = 10 * sim::usec;
+        return fp;
+    }
+};
+
+coord::CoordMessage
+benchTune(coord::IslandId src, coord::IslandId dst, coord::EntityId e)
+{
+    coord::CoordMessage m;
+    m.type = coord::MsgType::tune;
+    m.src = src;
+    m.dst = dst;
+    m.entity = e;
+    m.value = 1.0;
+    return m;
+}
+
 void
 BM_FabricTreeRelay(benchmark::State &state)
 {
     // Host cost per leaf-to-far-leaf tune through a fanout-4 tree of
     // N islands: the path crosses the root, so it relays at every
     // level. The "hops" counter turns ns per message into ns per hop.
-    const int n = static_cast<int>(state.range(0));
-    constexpr int k = 4;
-    sim::ShardedEngine engine(1, 10 * sim::usec);
-    coord::FabricParams fp;
-    fp.topology = coord::FabricTopology::tree;
-    fp.treeFanout = k;
-    fp.hub = 1;
-    fp.hopLatency = 10 * sim::usec;
-    coord::CoordFabric fabric(engine, fp);
-    const auto sinks = attachSinks(fabric, n);
-    // BFS-heap layout over ids 1..n rooted at 1: the children of id
-    // are k * (id - 1) + 2 .. k * (id - 1) + k + 1. Descend from the
-    // root's first child by first children, and from its last child
-    // by last children.
-    int src = 2, dst = k + 1;
-    while (k * (src - 1) + 2 <= n)
-        src = k * (src - 1) + 2;
-    while (k * (dst - 1) + k + 1 <= n)
-        dst = k * (dst - 1) + k + 1;
-    const int hops = fabric.hopCount(static_cast<coord::IslandId>(src),
-                                     static_cast<coord::IslandId>(dst));
-    coord::CoordMessage m;
-    m.type = coord::MsgType::tune;
-    m.src = static_cast<coord::IslandId>(src);
-    m.dst = static_cast<coord::IslandId>(dst);
-    m.value = 1.0;
+    TreeFabric t(static_cast<int>(state.range(0)), {});
+    const coord::CoordMessage m = benchTune(t.src, t.dst, 0);
     for (auto _ : state) {
-        fabric.send(m);
-        engine.runFor(hops * fp.hopLatency);
+        t.fabric.send(m);
+        t.engine.runFor(t.hops * t.fabric.perHopLatency());
     }
-    benchmark::DoNotOptimize(fabric.stats().delivered.value());
-    state.counters["hops"] = hops;
+    benchmark::DoNotOptimize(t.fabric.stats().delivered.value());
+    state.counters["hops"] = t.hops;
 }
 BENCHMARK(BM_FabricTreeRelay)->Arg(16)->Arg(256)->Arg(2048);
+
+void
+BM_FabricAggFold(benchmark::State &state)
+{
+    // Hub aggregation at one hub with B buckets open: the root of a
+    // 5-island tree sends two tunes to each of B (child, entity)
+    // addresses — the first opens a bucket, the second folds into it
+    // — and the window's flush sends B batches one hop. Items are
+    // tunes, so the time per item is half an open-or-fold plus half
+    // a flush and its delivery.
+    const int buckets = static_cast<int>(state.range(0));
+    coord::FabricParams fp;
+    fp.aggWindow = 50 * sim::usec;
+    TreeFabric t(5, fp);
+    const auto child = [](int b) {
+        return static_cast<coord::IslandId>(2 + b % TreeFabric::k);
+    };
+    for (auto _ : state) {
+        for (int b = 0; b < buckets; ++b)
+            t.fabric.send(benchTune(1, child(b),
+                                    static_cast<coord::EntityId>(b)));
+        for (int b = 0; b < buckets; ++b)
+            t.fabric.send(benchTune(1, child(b),
+                                    static_cast<coord::EntityId>(b)));
+        t.engine.runFor(fp.aggWindow + 2 * t.fabric.perHopLatency());
+    }
+    benchmark::DoNotOptimize(t.fabric.stats().aggFolded.value());
+    state.SetItemsProcessed(state.iterations() * 2 * buckets);
+}
+BENCHMARK(BM_FabricAggFold)->Arg(16)->Arg(256)->Arg(2048);
+
+void
+BM_FabricLossyRelay(benchmark::State &state)
+{
+    // BM_FabricTreeRelay with weather on every link (10 % loss, 5 %
+    // duplication, 50 us replay timeout): dropped hops park in the
+    // flight slab and replay from it, so the replay path is timed
+    // along with the clean relays.
+    const int n = static_cast<int>(state.range(0));
+    coord::FabricParams fp;
+    fp.faults.lossProb = 0.10;
+    fp.faults.dupProb = 0.05;
+    fp.faults.seed = 0xbe7c4;
+    fp.replayTimeout = 50 * sim::usec;
+    TreeFabric t(n, fp);
+    const coord::CoordMessage m = benchTune(t.src, t.dst, 1);
+    for (auto _ : state) {
+        t.fabric.send(m);
+        t.engine.runFor(t.hops * t.fabric.perHopLatency());
+    }
+    benchmark::DoNotOptimize(t.fabric.stats().delivered.value());
+    state.counters["hops"] = t.hops;
+    state.counters["replays/msg"] = benchmark::Counter(
+        static_cast<double>(t.fabric.stats().linkReplays.value()),
+        benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_FabricLossyRelay)->Arg(16)->Arg(256)->Arg(2048);
 
 void
 BM_ReliableRegistrationLossy(benchmark::State &state)

@@ -61,6 +61,7 @@
 #include <bit>
 #include <cassert>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -73,6 +74,7 @@
 #include "interconnect/faults.hpp"
 #include "obs/trace.hpp"
 #include "sim/log.hpp"
+#include "sim/flat.hpp"
 #include "sim/random.hpp"
 #include "sim/sharded.hpp"
 #include "sim/simulator.hpp"
@@ -432,7 +434,13 @@ class CoordFabric : public CoordTransport
             &fn)
     {
         ensureBuilt();
-        for (auto &[key, link] : links) {
+        std::vector<std::uint64_t> keys;
+        keys.reserve(linkIndex.size());
+        linkIndex.forEach(
+            [&](std::uint64_t key, std::uint32_t) { keys.push_back(key); });
+        std::sort(keys.begin(), keys.end());
+        for (std::uint64_t key : keys) {
+            const Link &link = linkStore[*linkIndex.find(key)];
             fn(laneName(link.lo, link.hi), link.laneLoHi.id);
             fn(laneName(link.hi, link.lo), link.laneHiLo.id);
         }
@@ -499,6 +507,21 @@ class CoordFabric : public CoordTransport
         std::size_t n = 0;
         for (const ShardState &st : states)
             n += st.aggBuckets.size();
+        return n;
+    }
+
+    /**
+     * Wire messages held for a link-layer replay (all shards): each
+     * is waiting on its replay timer. Zero once the fabric is
+     * quiescent — every replay chain has ended in a transmit or an
+     * abandon.
+     */
+    std::size_t
+    flightsPending() const
+    {
+        std::size_t n = 0;
+        for (const ShardState &st : states)
+            n += st.flights.size();
         return n;
     }
 
@@ -829,7 +852,11 @@ class CoordFabric : public CoordTransport
         }
     };
 
-    /** One wire message in flight on one link. */
+    /**
+     * One wire message on one link. Built on the sender's stack for
+     * each hop; stored in the shard's flight slab only while a
+     * weather drop has it waiting on a replay timer.
+     */
     struct Flight
     {
         CoordMessage msg;
@@ -859,16 +886,24 @@ class CoordFabric : public CoordTransport
 
     /**
      * Mutable fabric state owned by one shard. Each shard's worker
-     * touches only its own state: flights and aggregation buckets
-     * are keyed by nodes the shard owns, tags only need to be unique
-     * within a shard, and the stats counters are folded at harvest
-     * (see stats()).
+     * touches only its own state — flights and aggregation buckets
+     * belong to nodes the shard owns — and the stats counters are
+     * folded at harvest (see stats()). The per-message structures are
+     * flat and stop allocating once warm (DESIGN.md §10, "Per-message
+     * fabric state"):
+     *
+     *  - flights: a generation-checked slab holding only flights a
+     *    weather drop left waiting on a replay timer; the timer holds
+     *    the slab handle, and a clean hop never touches the slab.
+     *  - aggBuckets: open-addressing table of open hub buckets keyed
+     *    (node:16, dst:16, entity:32); every walk over it sorts the
+     *    keys it collects, so its slot order never reaches the event
+     *    set.
      */
     struct ShardState
     {
-        std::map<std::uint64_t, Flight> flights;
-        std::map<std::uint64_t, AggBucket> aggBuckets;
-        std::uint64_t nextTag = 0;
+        corm::sim::Slab<Flight> flights;
+        corm::sim::FlatMap<AggBucket> aggBuckets;
         std::size_t aggHighWater = 0;
         /** Deepest lane in-flight queue this shard sent into. */
         std::size_t laneQueueHighWater = 0;
@@ -962,8 +997,30 @@ class CoordFabric : public CoordTransport
     void
     ensureLink(IslandId a, IslandId b)
     {
-        if (!links.count(linkKey(a, b)))
+        if (!findLink(a, b))
             makeLink(a, b);
+    }
+
+    /** The live link between @p a and @p b, or nullptr. */
+    Link *
+    findLink(IslandId a, IslandId b)
+    {
+        const std::uint32_t *slot = linkIndex.find(linkKey(a, b));
+        return slot ? &linkStore[*slot] : nullptr;
+    }
+
+    /** Retire the link between @p a and @p b, if live; its store
+     *  slot is reset and recycled. */
+    void
+    retireLink(IslandId a, IslandId b)
+    {
+        const std::uint64_t key = linkKey(a, b);
+        const std::uint32_t *slot = linkIndex.find(key);
+        if (!slot)
+            return;
+        linkStore[*slot] = Link{};
+        freeLinks.push_back(*slot);
+        linkIndex.erase(key);
     }
 
     /** First BFS-order tree node with spare fanout (join placement —
@@ -1019,17 +1076,30 @@ class CoordFabric : public CoordTransport
      * orphans keep their dangling parent entry until re-bound:
      * treeNextHop sees the broken chain and routes to the unroutable
      * sentinel, which attributes the message instead of throwing.
+     * Only @p id's own links are visited — its tree edges, its star
+     * spoke, or (mesh) one link per other member — so a leave or
+     * crash costs O(degree), not a scan of every link.
      */
     std::vector<IslandId>
     detachNode(IslandId id)
     {
         islands[id] = nullptr;
         --liveCount;
-        for (auto it = links.begin(); it != links.end();) {
-            if (it->second.lo == id || it->second.hi == id)
-                it = links.erase(it);
-            else
-                ++it;
+        switch (cfg.topology) {
+          case FabricTopology::mesh:
+            for (std::size_t other = 0; other < islands.size(); ++other)
+                if (islands[other])
+                    retireLink(static_cast<IslandId>(other), id);
+            break;
+          case FabricTopology::star:
+            retireLink(hubId, id);
+            break;
+          case FabricTopology::tree:
+            if (parent[id] != id)
+                retireLink(parent[id], id);
+            for (IslandId c : children[id])
+                retireLink(id, c);
+            break;
         }
         std::vector<IslandId> orphans = std::move(children[id]);
         children[id].clear();
@@ -1092,9 +1162,11 @@ class CoordFabric : public CoordTransport
     {
         std::vector<std::uint64_t> keys;
         for (ShardState &st : states)
-            for (const auto &[key, b] : st.aggBuckets)
-                if (b.node == id || (includeDest && b.proto.dst == id))
-                    keys.push_back(key);
+            st.aggBuckets.forEach(
+                [&](std::uint64_t key, const AggBucket &b) {
+                    if (b.node == id || (includeDest && b.proto.dst == id))
+                        keys.push_back(key);
+                });
         std::sort(keys.begin(), keys.end());
         for (std::uint64_t key : keys)
             flushBucket(key);
@@ -1108,9 +1180,11 @@ class CoordFabric : public CoordTransport
     {
         std::vector<std::uint64_t> keys;
         for (ShardState &st : states)
-            for (const auto &[key, b] : st.aggBuckets)
-                if (b.proto.dst == dst && b.proto.entity == entity)
-                    keys.push_back(key);
+            st.aggBuckets.forEach(
+                [&](std::uint64_t key, const AggBucket &b) {
+                    if (b.proto.dst == dst && b.proto.entity == entity)
+                        keys.push_back(key);
+                });
         std::sort(keys.begin(), keys.end());
         for (std::uint64_t key : keys)
             flushBucket(key);
@@ -1123,14 +1197,14 @@ class CoordFabric : public CoordTransport
     {
         ShardState &st = stateFor(id);
         std::vector<std::uint64_t> keys;
-        for (const auto &[key, b] : st.aggBuckets)
+        st.aggBuckets.forEach([&](std::uint64_t key, const AggBucket &b) {
             if (b.node == id)
                 keys.push_back(key);
+        });
         std::sort(keys.begin(), keys.end());
         for (std::uint64_t key : keys) {
-            auto it = st.aggBuckets.find(key);
-            AggBucket b = std::move(it->second);
-            st.aggBuckets.erase(it);
+            AggBucket b = std::move(*st.aggBuckets.find(key));
+            st.aggBuckets.erase(key);
             if (aggDepth[b.node] > 0)
                 --aggDepth[b.node];
             st.stats.abandoned.add();
@@ -1183,7 +1257,9 @@ class CoordFabric : public CoordTransport
         if (!dirty)
             return;
         dirty = false;
-        links.clear();
+        linkIndex.clear();
+        linkStore.clear();
+        freeLinks.clear();
         for (std::size_t id = 0; id < islands.size(); ++id) {
             parent[id] = static_cast<IslandId>(id);
             children[id].clear();
@@ -1229,10 +1305,21 @@ class CoordFabric : public CoordTransport
         ++routeEpoch_;
     }
 
+    /** Wire up the link between @p a and @p b (fresh unless live). */
     void
     makeLink(IslandId a, IslandId b)
     {
-        Link &link = links[linkKey(a, b)];
+        auto [slot, fresh] = linkIndex.tryEmplace(linkKey(a, b));
+        if (fresh) {
+            if (freeLinks.empty()) {
+                *slot = static_cast<std::uint32_t>(linkStore.size());
+                linkStore.emplace_back();
+            } else {
+                *slot = freeLinks.back();
+                freeLinks.pop_back();
+            }
+        }
+        Link &link = linkStore[*slot];
         link.lo = std::min(a, b);
         link.hi = std::max(a, b);
         if (cfg.faults.any()) {
@@ -1350,9 +1437,9 @@ class CoordFabric : public CoordTransport
             (static_cast<std::uint64_t>(node) << 48)
             | (static_cast<std::uint64_t>(msg.dst) << 32)
             | msg.entity;
-        auto it = sst.aggBuckets.find(key);
-        if (it == sst.aggBuckets.end()) {
-            AggBucket &b = sst.aggBuckets[key];
+        auto [bucket, opened] = sst.aggBuckets.tryEmplace(key);
+        if (opened) {
+            AggBucket &b = *bucket;
             b.proto = msg;
             b.proto.src = node; // the batch originates at the hub
             b.node = node;
@@ -1371,7 +1458,7 @@ class CoordFabric : public CoordTransport
                                   [this, key] { flushBucket(key); });
             return;
         }
-        AggBucket &b = it->second;
+        AggBucket &b = *bucket;
         sst.stats.aggFolded.add();
         b.proto.value += msg.value;
         b.proto.coalesced += msg.coalesced;
@@ -1396,11 +1483,11 @@ class CoordFabric : public CoordTransport
         // the shard state on whichever thread the flush timer fires.
         const IslandId node = static_cast<IslandId>(key >> 48);
         ShardState &sst = stateFor(node);
-        auto it = sst.aggBuckets.find(key);
-        if (it == sst.aggBuckets.end())
+        AggBucket *open = sst.aggBuckets.find(key);
+        if (!open)
             return;
-        AggBucket b = std::move(it->second);
-        sst.aggBuckets.erase(it);
+        AggBucket b = std::move(*open);
+        sst.aggBuckets.erase(key);
         if (aggDepth[b.node] > 0)
             --aggDepth[b.node];
         sst.stats.aggBatches.add();
@@ -1417,28 +1504,26 @@ class CoordFabric : public CoordTransport
     }
 
     /**
-     * Put @p msg on the link from @p from to @p to: flight
-     * bookkeeping, then the first wire attempt. The delivery is a
-     * boundary message posted through the engine; a transmitted
-     * flight is erased at once — the record only feeds drop/replay
-     * chains, and the payload rides the boundary message, so the
-     * receiving shard never touches this shard's flight map.
+     * Put @p msg on the link from @p from to @p to: the flight record
+     * is built on the stack and transmitted at once. The delivery is
+     * a boundary message posted through the engine carrying the
+     * payload, so the receiving shard never touches this shard's
+     * flights; only a weather drop keeps the record (see dropFlight).
      */
     void
     wireSend(IslandId from, IslandId to, const CoordMessage &msg,
              corm::sim::Tick origin, int hopsSoFar)
     {
         ShardState &st = stateFor(from);
-        auto lk = links.find(linkKey(from, to));
-        if (lk == links.end()) {
+        Link *link = findLink(from, to);
+        if (!link) {
             // Topology changed under an in-flight message: the next
             // hop is gone (or routing answered the unroutable
             // sentinel). Attribute rather than lose the delta.
             dropAttributed(from, msg, from, to);
             return;
         }
-        const std::uint64_t tag = ++st.nextTag;
-        Flight &f = st.flights[tag];
+        Flight f;
         f.msg = msg;
         f.originSentAt = origin;
         f.from = from;
@@ -1450,15 +1535,13 @@ class CoordFabric : public CoordTransport
         if (msg.type == MsgType::tune)
             st.stats.wireTunes.add();
         ++wireFrom[from];
-        transmit(st, lk->second, tag);
+        transmit(st, *link, f);
     }
 
     /** One wire attempt of a flight (first send or replay). */
     void
-    transmit(ShardState &st, Link &link, std::uint64_t tag)
+    transmit(ShardState &st, Link &link, Flight &f)
     {
-        auto it = st.flights.find(tag);
-        Flight &f = it->second;
         Lane &lane = link.laneFrom(f.from);
         // Barrier-time churn actions (a leave's bucket flush, say)
         // transmit while the shard sims are parked at placement-
@@ -1477,7 +1560,7 @@ class CoordFabric : public CoordTransport
             if (CORM_TRACE_ACTIVE(st.rec))
                 st.rec->instant(laneTrackOn(st, lane), tnow,
                                 "hop:drop", "coord");
-            dropFlight(st, it);
+            dropFlight(st, f);
             return;
         }
         // Base latency plus weather delay, clamped to in-order
@@ -1527,7 +1610,6 @@ class CoordFabric : public CoordTransport
             engine_.post(shardOfNode(f.from), shardOfNode(f.to), d);
             noteInFlight(st, lane, tnow, d.when);
         }
-        st.flights.erase(it);
     }
 
     /**
@@ -1551,14 +1633,16 @@ class CoordFabric : public CoordTransport
         st.laneQueueHighWater = std::max(st.laneQueueHighWater, q.size());
     }
 
-    /** Weather ate a wire attempt: back off or abandon. */
+    /**
+     * Weather ate a wire attempt: abandon, or park the flight in the
+     * slab and back off. The replay timer carries the slab handle.
+     */
     void
-    dropFlight(ShardState &st, std::map<std::uint64_t, Flight>::iterator it)
+    dropFlight(ShardState &st, Flight &f)
     {
-        Flight &f = it->second;
         st.stats.linkDrops.add();
         if (f.attempts > cfg.replayAttempts) {
-            abandonFlight(st, it);
+            abandonFlight(st, f);
             return;
         }
         const corm::sim::Tick wait = f.timeout;
@@ -1567,22 +1651,26 @@ class CoordFabric : public CoordTransport
         f.timeout = std::min(
             cfg.replayCap, static_cast<corm::sim::Tick>(next));
         const IslandId from = f.from;
-        const std::uint64_t tag = it->first;
+        const corm::sim::Slab<Flight>::Handle h = st.flights.put(f);
         simFor(from).schedule(
-            wait, [this, from, tag] { replayFlight(from, tag); });
+            wait, [this, from, h] { replayFlight(from, h); });
     }
 
+    /**
+     * A replay timer fired: take the parked flight back out of the
+     * slab and re-send it. A stale handle finds nothing and the
+     * timer is a no-op.
+     */
     void
-    replayFlight(IslandId from, std::uint64_t tag)
+    replayFlight(IslandId from, corm::sim::Slab<Flight>::Handle h)
     {
         ShardState &st = stateFor(from);
-        auto it = st.flights.find(tag);
-        if (it == st.flights.end())
+        Flight f;
+        if (!st.flights.take(h, f))
             return;
-        Flight &f = it->second;
-        auto lk = links.find(linkKey(f.from, f.to));
-        if (lk == links.end()) {
-            abandonFlight(st, it);
+        Link *link = findLink(f.from, f.to);
+        if (!link) {
+            abandonFlight(st, f);
             return;
         }
         ++f.attempts;
@@ -1592,13 +1680,13 @@ class CoordFabric : public CoordTransport
             st.stats.wireTunes.add();
         ++wireFrom[f.from];
         if (CORM_TRACE_ACTIVE(st.rec)) {
-            Lane &lane = lk->second.laneFrom(f.from);
+            Lane &lane = link->laneFrom(f.from);
             st.rec->instant(laneTrackOn(st, lane), simFor(from).now(),
                             std::string("replay:")
                                 + msgTypeName(f.msg.type),
                             "coord", {{"attempt", f.attempts}});
         }
-        transmit(st, lk->second, tag);
+        transmit(st, *link, f);
     }
 
     /**
@@ -1607,12 +1695,10 @@ class CoordFabric : public CoordTransport
      * only run on the coordinator (drainAbandoned).
      */
     void
-    abandonFlight(ShardState &st,
-                  std::map<std::uint64_t, Flight>::iterator it)
+    abandonFlight(ShardState &st, const Flight &f)
     {
-        const CoordMessage msg = it->second.msg;
-        const IslandId from = it->second.from, to = it->second.to;
-        st.flights.erase(it);
+        const CoordMessage &msg = f.msg;
+        const IslandId from = f.from, to = f.to;
         st.stats.abandoned.add();
         const std::uint64_t laneId = laneIdOf(from, to);
         const corm::sim::Tick when = simFor(from).now();
@@ -1980,7 +2066,16 @@ class CoordFabric : public CoordTransport
     mutable FabricStats merged_; ///< stats() scratch (several shards)
     IslandId hubId = 0;
     bool dirty = true;
-    std::map<std::uint32_t, Link> links;
+    /**
+     * Links: linkKey -> slot in linkStore, an O(1) open-addressing
+     * index over a deque, so a Link's address is stable while other
+     * links come and go. Retired slots are reset and recycled
+     * through freeLinks. Written only by the coordinator (build and
+     * churn); shards only look links up.
+     */
+    corm::sim::FlatMap<std::uint32_t> linkIndex;
+    std::deque<Link> linkStore;
+    std::vector<std::uint32_t> freeLinks;
     // Node tables indexed by island id, sized at attach() to the
     // highest attached id + 1: the 16-bit id space is too large for
     // fixed flat tables, and small runs shouldn't pay for islands

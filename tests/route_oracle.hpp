@@ -4,13 +4,17 @@
  * attached islands derived from the topology alone — mesh 1, star 1
  * or 2 (through the hub), tree depth(a) + depth(b) - 2 * depth(lca)
  * over the parentOf chains — checked against CoordFabric::hopCount
- * for every ordered pair.
+ * for every ordered pair; and the link set a rebuild of the live
+ * topology would wire, checked against the fabric's live lanes.
  */
 
 #pragma once
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "coord/fabric.hpp"
@@ -70,6 +74,70 @@ expectRoutesMatchTopology(CoordFabric &fabric, IslandId hub,
                       expectedHops(fabric, hub, a, b))
                 << fabricTopologyName(fabric.params().topology) << " "
                 << a << " -> " << b;
+}
+
+/** An undirected link as its (lower id, higher id) pair. */
+using LinkPair = std::pair<IslandId, IslandId>;
+
+/** The fabric's live links, read back from its lane names
+ *  ("<name>.<from>-<to>", two directions per link). */
+inline std::set<LinkPair>
+liveLinks(CoordFabric &fabric)
+{
+    std::set<LinkPair> out;
+    fabric.forEachLaneId([&](const std::string &name, std::uint64_t) {
+        const std::size_t dot = name.rfind('.');
+        const std::size_t dash = name.find('-', dot);
+        const auto from =
+            static_cast<IslandId>(std::stoul(name.substr(dot + 1)));
+        const auto to =
+            static_cast<IslandId>(std::stoul(name.substr(dash + 1)));
+        out.insert({std::min(from, to), std::max(from, to)});
+    });
+    return out;
+}
+
+/**
+ * The links a full rebuild of the live topology over @p live would
+ * wire: every pair (mesh), every spoke to the hub (star), or every
+ * parentOf edge whose parent is live (tree; an orphan awaiting
+ * re-parenting has none).
+ */
+inline std::set<LinkPair>
+rebuiltLinks(CoordFabric &fabric, IslandId hub,
+             const std::vector<IslandId> &live)
+{
+    std::set<LinkPair> out;
+    const std::set<IslandId> members(live.begin(), live.end());
+    for (IslandId a : live) {
+        switch (fabric.params().topology) {
+          case FabricTopology::mesh:
+            for (IslandId b : live)
+                if (a < b)
+                    out.insert({a, b});
+            break;
+          case FabricTopology::star:
+            if (a != hub)
+                out.insert({std::min(a, hub), std::max(a, hub)});
+            break;
+          case FabricTopology::tree: {
+            const IslandId p = fabric.parentOf(a);
+            if (p != a && members.count(p))
+                out.insert({std::min(a, p), std::max(a, p)});
+            break;
+          }
+        }
+    }
+    return out;
+}
+
+/** The fabric's live links equal a rebuild's over @p live. */
+inline void
+expectLinksMatchRebuild(CoordFabric &fabric, IslandId hub,
+                        const std::vector<IslandId> &live)
+{
+    EXPECT_EQ(liveLinks(fabric), rebuiltLinks(fabric, hub, live))
+        << fabricTopologyName(fabric.params().topology);
 }
 
 } // namespace corm::coord::testing

@@ -263,9 +263,12 @@ TEST(CoordChurnRoutes, HopCountsTrackTheTopologyThroughChurn)
     // Sparse ids and a hub that is not the lowest id. After the
     // build and after every join, leave, crash and re-parent, routes
     // computed from the live topology must give the topology's own
-    // distance for every pair of connected members; while a crashed
-    // hub's orphans await re-parenting, a tune to one is an
-    // unroutable drop that reaches the abandon observer.
+    // distance for every pair of connected members, and the links
+    // that survive must be exactly those a rebuild of the live
+    // topology would wire (a departure retires only its own links);
+    // while a crashed hub's orphans await re-parenting, a tune to one
+    // is an unroutable drop that reaches the abandon observer.
+    using corm::coord::testing::expectLinksMatchRebuild;
     using corm::coord::testing::expectRoutesMatchTopology;
     using corm::coord::testing::pathToRoot;
     const std::vector<IslandId> ids = {3, 7, 12, 20, 21, 40, 41, 55, 90, 200};
@@ -315,11 +318,13 @@ TEST(CoordChurnRoutes, HopCountsTrackTheTopologyThroughChurn)
             return out;
         };
         expectRoutesMatchTopology(fabric, hub, live);
+        expectLinksMatchRebuild(fabric, hub, live);
 
         StubIsland late(joiner, "late");
         fabric.join(late);
         live.push_back(joiner);
         expectRoutesMatchTopology(fabric, hub, live);
+        expectLinksMatchRebuild(fabric, hub, live);
 
         // Leave the first interior node: its children re-bind at once.
         const bool tree = c.topology == FabricTopology::tree;
@@ -327,6 +332,7 @@ TEST(CoordChurnRoutes, HopCountsTrackTheTopologyThroughChurn)
         fabric.leave(leaver);
         depart(leaver);
         expectRoutesMatchTopology(fabric, hub, live);
+        expectLinksMatchRebuild(fabric, hub, live);
 
         // Crash the last interior node: its children are orphaned
         // until the re-parent.
@@ -345,6 +351,7 @@ TEST(CoordChurnRoutes, HopCountsTrackTheTopologyThroughChurn)
                 connected.push_back(x);
         EXPECT_EQ(connected.size(), live.size() - orphans.size());
         expectRoutesMatchTopology(fabric, hub, connected);
+        expectLinksMatchRebuild(fabric, hub, live);
         for (IslandId orphan : orphans) {
             const std::uint64_t dropped = fabric.stats().dropped.value();
             fabric.send(tune(hub, orphan, 9, 1.5));
@@ -359,6 +366,7 @@ TEST(CoordChurnRoutes, HopCountsTrackTheTopologyThroughChurn)
         fabric.reparentNow(0);
         EXPECT_EQ(fabric.pendingReparentCount(), 0u);
         expectRoutesMatchTopology(fabric, hub, live);
+        expectLinksMatchRebuild(fabric, hub, live);
         engine.runFor(1 * msec);
         EXPECT_EQ(fabric.stats().wireMessages.value(), 0u);
     }

@@ -9,14 +9,20 @@
  * unroutable-dropped line the two-island report never surfaced).
  * One case per topology also runs on a 2-shard engine and must
  * match the 1-shard outcome, so the direct API is exercised across
- * threads (and under the TSan/ASan twins).
+ * threads (and under the TSan/ASan twins). A lossy, duplicating tree
+ * checks the replay path end to end at 1, 2 and 4 shards, and the
+ * flat per-message containers (sim/flat.hpp) are checked against an
+ * ordered map and for stale slab handles.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
+#include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "coord/fabric.hpp"
@@ -25,6 +31,7 @@
 #include "obs/tracecheck.hpp"
 #include "platform/report.hpp"
 #include "route_oracle.hpp"
+#include "sim/flat.hpp"
 #include "sim/sharded.hpp"
 
 using namespace corm::sim;
@@ -482,6 +489,97 @@ TEST(CoordFabricFaults, DuplicatedWireCopiesAreSuppressed)
     }
 }
 
+TEST(CoordFabricFaults, LossyTreeEndsEveryReplayChainOnceAtAnyShardCount)
+{
+    // 10 % loss and 5 % duplication on every link of a 15-island
+    // fanout-2 tree with hub aggregation, and a replay budget of one
+    // so that some chains abandon. Every tune is applied or abandoned
+    // exactly once: coalesced counts and exact integer sums per
+    // (destination, entity) balance the ledger. The flight slab is
+    // in use mid-run and empty at quiescence, and the outcome —
+    // counters, per-island apply sequences, abandoned messages — is
+    // the same at 1, 2 and 4 shards.
+    FabricParams p;
+    p.hopLatency = 10 * usec;
+    p.aggWindow = 30 * usec;
+    p.replayAttempts = 1;
+    p.replayTimeout = 100 * usec;
+    p.faults.lossProb = 0.10;
+    p.faults.dupProb = 0.05;
+    p.faults.seed = 0x5eed;
+    constexpr int n = 15;
+    using Key = std::pair<IslandId, EntityId>;
+
+    std::vector<std::uint64_t> oneCounts;
+    std::vector<std::vector<std::pair<EntityId, double>>> oneApplied;
+    std::vector<std::pair<Key, double>> oneAbandoned;
+    for (const int shards : {1, 2, 4}) {
+        SCOPED_TRACE("shards=" + std::to_string(shards));
+        TreeRig rig(p, n, shards);
+        std::vector<CoordMessage> abandoned;
+        rig.fabric->setAbandonObserver(
+            [&](const CoordMessage &m) { abandoned.push_back(m); });
+        std::map<Key, double> intent;
+        std::uint64_t sent = 0;
+        std::size_t parked = 0;
+        for (int round = 0; round < 40; ++round) {
+            for (int k = 0; k < 6; ++k) {
+                const auto src =
+                    static_cast<IslandId>(1 + (round * 7 + k * 3) % n);
+                const auto dst = static_cast<IslandId>(
+                    1 + (round * 5 + k * 11 + 1) % n);
+                if (src == dst)
+                    continue;
+                const EntityId e = static_cast<EntityId>(k % 3);
+                const double v = 1.0 + (round + k) % 9;
+                rig.fabric->send(tune(src, dst, e, v));
+                intent[{dst, e}] += v;
+                ++sent;
+            }
+            rig.runFor(50 * usec);
+            parked = std::max(parked, rig.fabric->flightsPending());
+        }
+        rig.runFor(20 * msec);
+
+        EXPECT_GT(parked, 0u);
+        EXPECT_EQ(rig.fabric->flightsPending(), 0u);
+        EXPECT_EQ(rig.fabric->aggPending(), 0u);
+        const FabricStats &fs = rig.fabric->stats();
+        EXPECT_GT(fs.linkReplays.value(), 0u);
+        EXPECT_GT(fs.abandoned.value(), 0u);
+        EXPECT_GT(fs.duplicates.value(), 0u);
+        EXPECT_GT(fs.aggFolded.value(), 0u);
+        EXPECT_EQ(fs.abandoned.value(), abandoned.size());
+
+        std::uint64_t abandonedTunes = 0;
+        std::map<Key, double> landed;
+        std::vector<std::pair<Key, double>> lost;
+        for (const CoordMessage &m : abandoned) {
+            abandonedTunes += m.coalesced;
+            landed[{m.dst, m.entity}] += m.value;
+            lost.push_back({{m.dst, m.entity}, m.value});
+        }
+        std::vector<std::vector<std::pair<EntityId, double>>> applied;
+        for (int i = 1; i <= n; ++i) {
+            for (const auto &[e, d] : rig.at(i).tunes)
+                landed[{static_cast<IslandId>(i), e}] += d;
+            applied.push_back(rig.at(i).tunes);
+        }
+        EXPECT_EQ(fs.appliedTunes.value() + abandonedTunes, sent);
+        EXPECT_EQ(landed, intent);
+
+        if (shards == 1) {
+            oneCounts = statCounts(fs);
+            oneApplied = applied;
+            oneAbandoned = lost;
+        } else {
+            EXPECT_EQ(statCounts(fs), oneCounts);
+            EXPECT_EQ(applied, oneApplied);
+            EXPECT_EQ(lost, oneAbandoned);
+        }
+    }
+}
+
 TEST(CoordFabricReliable, AnnouncerSupersedeCrossesARelayHop)
 {
     FabricParams p;
@@ -637,4 +735,89 @@ TEST(CoordFabricTopology, ParseAndNameRoundTrip)
     EXPECT_EQ(t, FabricTopology::star);
     EXPECT_FALSE(parseFabricTopology("ring", t));
     EXPECT_STREQ(fabricTopologyName(FabricTopology::tree), "tree");
+}
+
+TEST(FabricFlatState, StaleSlabHandleFiresAsANoOp)
+{
+    // The replay discipline in miniature: a dropped flight parks in
+    // the slab and its timer holds the handle. When the flight is
+    // gone before the timer fires (abandoned, its slot reused by a
+    // newer flight), the old handle's timer finds nothing and the
+    // newer flight is untouched.
+    Simulator sim;
+    Slab<CoordMessage> slab;
+    int replayed = 0, stale = 0;
+    const auto replay = [&](Slab<CoordMessage>::Handle h) {
+        CoordMessage m;
+        if (slab.take(h, m))
+            ++replayed;
+        else
+            ++stale;
+    };
+    const Slab<CoordMessage>::Handle old = slab.put(tune(1, 2, 3, 1.0));
+    sim.schedule(10, [&replay, old] { replay(old); });
+    CoordMessage gone;
+    ASSERT_TRUE(slab.take(old, gone)); // abandoned before its timer
+    EXPECT_EQ(gone.entity, 3u);
+    const Slab<CoordMessage>::Handle fresh =
+        slab.put(tune(1, 2, 4, 2.0));
+    EXPECT_NE(fresh, old);
+    EXPECT_EQ(fresh & 0xffffffffu, old & 0xffffffffu); // same slot
+    sim.schedule(20, [&replay, fresh] { replay(fresh); });
+    sim.runFor(30);
+
+    EXPECT_EQ(stale, 1);
+    EXPECT_EQ(replayed, 1);
+    EXPECT_EQ(slab.size(), 0u);
+    CoordMessage m;
+    EXPECT_FALSE(slab.take(0, m));
+    EXPECT_FALSE(slab.take(fresh, m));
+}
+
+TEST(FabricFlatState, FlatMapMatchesAnOrderedMapUnderRandomChurn)
+{
+    // Aggregation-bucket shaped keys (node:16, dst:16, entity:32) on
+    // a small space, so probe runs collide, wrap and are shifted back
+    // by erases; the edge keys 0 and ~0 are ordinary keys.
+    FlatMap<std::uint64_t> flat;
+    std::map<std::uint64_t, std::uint64_t> ref;
+    std::mt19937_64 rng(42);
+    const auto check = [&] {
+        ASSERT_EQ(flat.size(), ref.size());
+        std::map<std::uint64_t, std::uint64_t> seen;
+        flat.forEach([&](std::uint64_t k, std::uint64_t v) {
+            EXPECT_TRUE(seen.emplace(k, v).second);
+        });
+        EXPECT_EQ(seen, ref);
+        for (const auto &[k, v] : ref) {
+            const std::uint64_t *got = flat.find(k);
+            ASSERT_NE(got, nullptr);
+            EXPECT_EQ(*got, v);
+        }
+    };
+    for (std::uint64_t i = 1; i <= 30000; ++i) {
+        const std::uint64_t r = rng();
+        std::uint64_t key = ((r % 8) << 48) | (((r >> 8) % 16) << 32)
+            | ((r >> 16) % 64);
+        if (r % 97 == 0)
+            key = (r & 1) ? 0 : ~std::uint64_t{0};
+        if ((r >> 40) % 5 < 3) {
+            auto [v, inserted] = flat.tryEmplace(key);
+            EXPECT_EQ(inserted, ref.count(key) == 0);
+            *v += i;
+            ref[key] += i;
+        } else {
+            EXPECT_EQ(flat.erase(key), ref.erase(key) == 1);
+            EXPECT_EQ(flat.find(key), nullptr);
+        }
+        if (i % 3000 == 0)
+            check();
+    }
+    check();
+    while (!ref.empty()) {
+        EXPECT_TRUE(flat.erase(ref.begin()->first));
+        ref.erase(ref.begin());
+    }
+    check();
+    EXPECT_EQ(flat.size(), 0u);
 }

@@ -539,14 +539,14 @@ class CoordFabric : public CoordTransport
     std::uint64_t
     wireSendsFrom(IslandId island) const
     {
-        return island < wireFrom.size() ? wireFrom[island] : 0;
+        return island < nodes.size() ? nodes[island].wireFrom : 0;
     }
 
     /** Wire messages arriving at @p island (terminal or relayed). */
     std::uint64_t
     wireReceivedAt(IslandId island) const
     {
-        return island < wireInto.size() ? wireInto[island] : 0;
+        return island < nodes.size() ? nodes[island].wireInto : 0;
     }
 
     /**
@@ -566,7 +566,7 @@ class CoordFabric : public CoordTransport
         std::uint64_t m = 0;
         for (std::size_t id = 0; id < islands.size(); ++id)
             if (islands[id])
-                m = std::max(m, wireFrom[id]);
+                m = std::max(m, nodes[id].wireFrom);
         return m;
     }
 
@@ -826,9 +826,10 @@ class CoordFabric : public CoordTransport
      * derived from the endpoint ids alone — placement-independent,
      * so the engine's canonical (when, lane, seq) injection order
      * does not change with the shard count. Only the sender's shard
-     * touches a lane.
+     * touches a lane, so each lane gets its own cache line: the two
+     * directions of a link are written by two shards at once.
      */
-    struct Lane
+    struct alignas(64) Lane
     {
         std::uint64_t id = 0;
         IslandId from = 0, to = 0;
@@ -888,7 +889,9 @@ class CoordFabric : public CoordTransport
      * Mutable fabric state owned by one shard. Each shard's worker
      * touches only its own state — flights and aggregation buckets
      * belong to nodes the shard owns — and the stats counters are
-     * folded at harvest (see stats()). The per-message structures are
+     * folded at harvest (see stats()). Each state starts on a cache
+     * line of its own, so no two shards write one line. The
+     * per-message structures are
      * flat and stop allocating once warm (DESIGN.md §10, "Per-message
      * fabric state"):
      *
@@ -900,7 +903,7 @@ class CoordFabric : public CoordTransport
      *    keys it collects, so its slot order never reaches the event
      *    set.
      */
-    struct ShardState
+    struct alignas(64) ShardState
     {
         corm::sim::Slab<Flight> flights;
         corm::sim::FlatMap<AggBucket> aggBuckets;
@@ -927,6 +930,18 @@ class CoordFabric : public CoordTransport
         const IslandId lo = std::min(a, b), hi = std::max(a, b);
         return (static_cast<std::uint32_t>(lo) << 16) | hi;
     }
+
+    /**
+     * A node's hot counters, written only by the shard that owns the
+     * node, each node on its own cache line so that shards never
+     * write a line another shard is writing.
+     */
+    struct alignas(64) NodeCounters
+    {
+        std::uint64_t wireFrom = 0; ///< wire messages sent or relayed
+        std::uint64_t wireInto = 0; ///< wire messages arriving
+        std::size_t aggDepth = 0;   ///< open aggregation buckets
+    };
 
     /** One orphaned child queued for re-binding after a hub crash. */
     struct PendingReparent
@@ -975,9 +990,7 @@ class CoordFabric : public CoordTransport
         for (std::size_t id = old; id < span; ++id)
             parent[id] = static_cast<IslandId>(id);
         children.resize(span);
-        wireFrom.resize(span, 0);
-        wireInto.resize(span, 0);
-        aggDepth.resize(span, 0);
+        nodes.resize(span);
         seen.resize(span);
     }
 
@@ -1205,8 +1218,8 @@ class CoordFabric : public CoordTransport
         for (std::uint64_t key : keys) {
             AggBucket b = std::move(*st.aggBuckets.find(key));
             st.aggBuckets.erase(key);
-            if (aggDepth[b.node] > 0)
-                --aggDepth[b.node];
+            if (nodes[b.node].aggDepth > 0)
+                --nodes[b.node].aggDepth;
             st.stats.abandoned.add();
             if (onAbandon)
                 st.abandonedQueue.push_back({b.proto, nowFor(id),
@@ -1445,7 +1458,7 @@ class CoordFabric : public CoordTransport
             b.node = node;
             b.next = next;
             b.earliestOrigin = origin;
-            const std::size_t depth = ++aggDepth[node];
+            const std::size_t depth = ++nodes[node].aggDepth;
             sst.aggHighWater = std::max(sst.aggHighWater, depth);
             if (CORM_TRACE_ACTIVE(sst.rec) && msg.trace != 0) {
                 sst.rec->instant(
@@ -1488,8 +1501,8 @@ class CoordFabric : public CoordTransport
             return;
         AggBucket b = std::move(*open);
         sst.aggBuckets.erase(key);
-        if (aggDepth[b.node] > 0)
-            --aggDepth[b.node];
+        if (nodes[b.node].aggDepth > 0)
+            --nodes[b.node].aggDepth;
         sst.stats.aggBatches.add();
         if (CORM_TRACE_ACTIVE(sst.rec) && b.proto.trace != 0) {
             sst.rec->instant(
@@ -1534,7 +1547,7 @@ class CoordFabric : public CoordTransport
         st.stats.wireMessages.add();
         if (msg.type == MsgType::tune)
             st.stats.wireTunes.add();
-        ++wireFrom[from];
+        ++nodes[from].wireFrom;
         transmit(st, *link, f);
     }
 
@@ -1678,7 +1691,7 @@ class CoordFabric : public CoordTransport
         st.stats.wireMessages.add();
         if (f.msg.type == MsgType::tune)
             st.stats.wireTunes.add();
-        ++wireFrom[f.from];
+        ++nodes[f.from].wireFrom;
         if (CORM_TRACE_ACTIVE(st.rec)) {
             Lane &lane = link->laneFrom(f.from);
             st.rec->instant(laneTrackOn(st, lane), simFor(from).now(),
@@ -1744,7 +1757,7 @@ class CoordFabric : public CoordTransport
             }
             return;
         }
-        ++wireInto[node];
+        ++nodes[node].wireInto;
         CoordMessage msg = CoordMessage::decode(e.w0, e.w1, e.w2);
         msg.trace = e.flow;
         msg.coalesced = e.aux;
@@ -2089,9 +2102,7 @@ class CoordFabric : public CoordTransport
      *  non-tree fabric, a departed node). */
     std::vector<IslandId> parent;
     std::vector<std::vector<IslandId>> children;
-    std::vector<std::uint64_t> wireFrom;
-    std::vector<std::uint64_t> wireInto;
-    std::vector<std::size_t> aggDepth;
+    std::vector<NodeCounters> nodes;
     std::vector<SeenWindow> seen;
     std::map<IslandId, std::function<void(const CoordMessage &)>>
         ackObservers;

@@ -230,24 +230,22 @@ class TraceRecorder
 
     /**
      * Re-emit @p e (recorded by a window-local recorder) into this
-     * recorder under the (process, thread) track names, re-applying
-     * the ends-exactly-once flow rule globally: window recorders can
+     * recorder on its track @p trk (registered here under the window
+     * track's process and thread names), re-applying the
+     * ends-exactly-once flow rule globally: window recorders can
      * only dedup flow ends within their own window, so the merged
      * recorder is the source of truth for which 'f' wins.
      */
-    void absorb(const TraceEvent &e, const std::string &process,
-                const std::string &thread)
+    void absorb(TraceEvent &&e, int trk)
     {
         if (!enabled_)
             return;
-        TraceEvent copy = e;
-        copy.track = track(process, thread);
-        copy.emitTick = 0;
-        copy.emitSeq = 0;
-        if (copy.phase == 'f'
-            && !endedFlows.insert(copy.flow).second)
-            copy.phase = 't';
-        push(std::move(copy));
+        e.track = trk;
+        e.emitTick = 0;
+        e.emitSeq = 0;
+        if (e.phase == 'f' && !endedFlows.insert(e.flow).second)
+            e.phase = 't';
+        push(std::move(e));
     }
 
     /** Flow context of the in-progress dispatch (id 0 = none). */
@@ -331,6 +329,24 @@ class TraceRecorder
         events_.clear();
         endedFlows.clear();
     }
+
+    /**
+     * Hand the recorded events to @p out (whose previous contents
+     * are dropped) and take its storage in exchange, then forget the
+     * flow ends like clear(). A window recorder's buffer thus moves
+     * to the merge without copying, and its capacity comes back for
+     * the next window.
+     */
+    void
+    swapEvents(std::vector<TraceEvent> &out)
+    {
+        out.clear();
+        events_.swap(out);
+        endedFlows.clear();
+    }
+
+    /** Number of registered tracks. */
+    std::size_t trackCount() const { return tracks.size(); }
 
     /**
      * Serialize as Chrome trace-event JSON: process/thread metadata

@@ -20,6 +20,7 @@
 #include "obs/flowprofile.hpp"
 #include "obs/monitor.hpp"
 #include "obs/shardcapture.hpp"
+#include "sim/flat.hpp"
 #include "sim/sharded.hpp"
 
 namespace corm::platform {
@@ -442,8 +443,10 @@ namespace {
  * RUBiS deployment) and counts what the fabric delivers to it. The
  * root instance doubles as the classifier island, accumulating the
  * shards' upward load reports into the same per-tier weights.
+ * Islands are allocated one after another but written by different
+ * shards, so each starts on a cache line of its own.
  */
-class ShardIsland final : public coord::ResourceIsland
+class alignas(64) ShardIsland final : public coord::ResourceIsland
 {
   public:
     ShardIsland(coord::IslandId island_id, std::string island_name)
@@ -601,14 +604,16 @@ runFabricScenario(const FabricScenarioConfig &cfg)
     corm::obs::MetricRegistry registry;
     std::unique_ptr<corm::obs::HealthMonitor> monitor;
     corm::obs::HealthMonitor::Params monitorParams;
-    std::map<std::uint64_t, int> laneMon; // directional lane id -> monitor lane
+    // Directional lane id -> monitor lane, looked up once per lane
+    // event at every barrier.
+    corm::sim::FlatMap<int> laneMon;
     if (cfg.monitorLanes) {
         monitor = std::make_unique<corm::obs::HealthMonitor>(
             sim, registry, monitorParams);
         monitor->setMirrorTrace(trace);
         fabric.forEachLaneId(
             [&](const std::string &lane_name, std::uint64_t id) {
-                laneMon[id] = monitor->lane(lane_name);
+                *laneMon.tryEmplace(id).first = monitor->lane(lane_name);
             });
         fabric.setLaneActivityRecording(true);
     }
@@ -734,10 +739,9 @@ runFabricScenario(const FabricScenarioConfig &cfg)
         regsPending = announcer.pendingCount();
     } // announcer retires; the trigger sender may now own the root
 
-    // Phase 2 — workload, scheduled up front from one seeded stream
-    // so replays are identical under any --jobs fan-out. Integer
-    // deltas keep every aggregated sum exact in double arithmetic.
-    corm::sim::Rng rng(cfg.seed);
+    // Phase 2 — workload, drawn up front from one seeded stream so
+    // replays are identical under any --jobs fan-out. Integer deltas
+    // keep every aggregated sum exact in double arithmetic.
     coord::ReliableSender triggerSender(sim, fabric, rootId,
                                         cfg.reliable);
     triggerSender.setTrace(rootRec);
@@ -779,10 +783,14 @@ runFabricScenario(const FabricScenarioConfig &cfg)
         fabric.send(msg);
     };
 
-    // Pre-size each shard's event slots for the up-front scheduled
-    // workload, so slot-table growth never lands mid-run
-    // (Simulator::reserve): every island's load reports on its own
-    // shard, and every root tune on shard 0.
+    // Every shard replays the whole stream on its own thread
+    // (ShardedEngine::forEachShard) and schedules only the events it
+    // owns: each shard's queue then receives exactly the events, in
+    // exactly the order, that one serial pass would give it, while
+    // the set-up cost — mostly writing the event slots — splits
+    // across the shards. Every island's load reports run on its own
+    // shard; every root tune and trigger on shard 0, whose pass also
+    // keeps the tallies and the policy intent.
     const std::size_t streamSends =
         static_cast<std::size_t>(std::max(cfg.tiers, 1))
         * static_cast<std::size_t>(std::max(cfg.tunesPerPair, 1));
@@ -793,9 +801,6 @@ runFabricScenario(const FabricScenarioConfig &cfg)
         expectedSends[static_cast<std::size_t>(
             shardOf[static_cast<std::size_t>(rootId + i)])] +=
             streamSends;
-    for (int k = 0; k < K; ++k)
-        engine.sim(k).reserve(
-            expectedSends[static_cast<std::size_t>(k)]);
     const Tick span = std::max<Tick>(cfg.workloadSpan, 1);
     // Tunes fire in policy epochs (the paper's managers evaluate
     // periodically), with a small per-sender skew. Bursting is what
@@ -805,83 +810,98 @@ runFabricScenario(const FabricScenarioConfig &cfg)
         span / static_cast<Tick>(std::max(cfg.tunesPerPair, 1)), 1);
     const Tick jitter =
         std::min<Tick>(cfg.epochJitter, epochPeriod - 1);
-    for (int i = 1; i < n; ++i) {
-        const auto shard = static_cast<coord::IslandId>(rootId + i);
-        for (int t = 0; t < cfg.tiers; ++t) {
-            const auto tier =
-                tierBase + static_cast<coord::EntityId>(t);
-            // Integer deltas sum exactly in any order, so each
-            // pair's intent is folded in once, after its stream.
-            double downIntent = 0.0, upIntent = 0.0;
-            for (int k = 0; k < cfg.tunesPerPair; ++k) {
-                // Root -> shard allocation tune (aggregates at tree
-                // hubs along the downward path, per shard + tier).
-                {
-                    const Tick at = sim.now()
-                        + static_cast<Tick>(k) * epochPeriod
-                        + rng.uniformInt(jitter + 1);
-                    double d = static_cast<double>(
-                        1 + rng.uniformInt(8));
-                    if (rng.chance(0.5))
-                        d = -d;
-                    coord::CoordMessage m;
-                    m.type = coord::MsgType::tune;
-                    m.src = rootId;
-                    m.dst = shard;
-                    m.entity = tier;
-                    m.value = d;
-                    downIntent += d;
-                    ++r.logicalTunes;
-                    sim.scheduleAt(at, [&rootSend, m] { rootSend(m); });
+    const Tick start = sim.now();
+    engine.forEachShard([&](int me) {
+        corm::sim::Simulator &mine = engine.sim(me);
+        // Pre-sized so slot-table growth never lands mid-run
+        // (Simulator::reserve).
+        mine.reserve(expectedSends[static_cast<std::size_t>(me)]);
+        const bool rootPass = me == 0;
+        corm::sim::Rng rng(cfg.seed);
+        // One tune of the stream: its tick and its integer delta.
+        const auto draw = [&](int k, double &d) {
+            const Tick at = start + static_cast<Tick>(k) * epochPeriod
+                + rng.uniformInt(jitter + 1);
+            d = static_cast<double>(1 + rng.uniformInt(8));
+            if (rng.chance(0.5))
+                d = -d;
+            return at;
+        };
+        for (int i = 1; i < n; ++i) {
+            const auto shard = static_cast<coord::IslandId>(rootId + i);
+            const bool reportsHere = shardOf[shard] == me;
+            for (int t = 0; t < cfg.tiers; ++t) {
+                const auto tier =
+                    tierBase + static_cast<coord::EntityId>(t);
+                // Integer deltas sum exactly in any order, so each
+                // pair's intent is folded in once, after its stream.
+                double downIntent = 0.0, upIntent = 0.0;
+                for (int k = 0; k < cfg.tunesPerPair; ++k) {
+                    // Root -> shard allocation tune (aggregates at
+                    // tree hubs along the downward path, per shard +
+                    // tier).
+                    double d = 0.0;
+                    Tick at = draw(k, d);
+                    if (rootPass) {
+                        coord::CoordMessage m;
+                        m.type = coord::MsgType::tune;
+                        m.src = rootId;
+                        m.dst = shard;
+                        m.entity = tier;
+                        m.value = d;
+                        downIntent += d;
+                        ++r.logicalTunes;
+                        mine.scheduleAt(at,
+                                        [&rootSend, m] { rootSend(m); });
+                    }
+                    // Shard -> root load report for the same shared
+                    // tier entity (aggregates across shards at hubs).
+                    at = draw(k, d);
+                    if (rootPass) {
+                        upIntent += d;
+                        ++r.logicalTunes;
+                    }
+                    if (reportsHere) {
+                        coord::CoordMessage m;
+                        m.type = coord::MsgType::tune;
+                        m.src = shard;
+                        m.dst = rootId;
+                        m.entity = tier;
+                        m.value = d;
+                        // A send runs on the shard owning its source.
+                        mine.scheduleAt(at, [&fabric, m] {
+                            auto msg = m;
+                            fabric.send(msg);
+                        });
+                    }
+                    // Occasionally the classifier needs a shard
+                    // serviced right now: a Trigger on the reliable
+                    // low-latency path (bypasses aggregation).
+                    if (!rng.chance(cfg.triggerProb))
+                        continue;
+                    at = start + rng.uniformInt(span);
+                    if (rootPass) {
+                        coord::CoordMessage m;
+                        m.type = coord::MsgType::trigger;
+                        m.src = rootId;
+                        m.dst = shard;
+                        m.entity = tier;
+                        ++triggersSent;
+                        mine.scheduleAt(
+                            at, [&triggerSender, beginSpan, m] {
+                                auto msg = m;
+                                beginSpan(msg);
+                                triggerSender.send(msg);
+                            });
+                    }
                 }
-                // Shard -> root load report for the same shared tier
-                // entity (aggregates across shards at hubs).
-                {
-                    const Tick at = sim.now()
-                        + static_cast<Tick>(k) * epochPeriod
-                        + rng.uniformInt(jitter + 1);
-                    double d = static_cast<double>(
-                        1 + rng.uniformInt(8));
-                    if (rng.chance(0.5))
-                        d = -d;
-                    coord::CoordMessage m;
-                    m.type = coord::MsgType::tune;
-                    m.src = shard;
-                    m.dst = rootId;
-                    m.entity = tier;
-                    m.value = d;
-                    upIntent += d;
-                    ++r.logicalTunes;
-                    // A send must run on the shard owning its source.
-                    engine.sim(shardOf[shard]).scheduleAt(at, [&fabric, m] {
-                        auto msg = m;
-                        fabric.send(msg);
-                    });
+                if (rootPass && cfg.tunesPerPair > 0) {
+                    intent[intentKey(shard, tier)] += downIntent;
+                    intent[intentKey(rootId, tier)] += upIntent;
                 }
-                // Occasionally the classifier needs a shard serviced
-                // right now: a Trigger on the reliable low-latency
-                // path (bypasses aggregation).
-                if (rng.chance(cfg.triggerProb)) {
-                    const Tick at = sim.now() + rng.uniformInt(span);
-                    coord::CoordMessage m;
-                    m.type = coord::MsgType::trigger;
-                    m.src = rootId;
-                    m.dst = shard;
-                    m.entity = tier;
-                    ++triggersSent;
-                    sim.scheduleAt(at, [&triggerSender, beginSpan, m] {
-                        auto msg = m;
-                        beginSpan(msg);
-                        triggerSender.send(msg);
-                    });
-                }
-            }
-            if (cfg.tunesPerPair > 0) {
-                intent[intentKey(shard, tier)] += downIntent;
-                intent[intentKey(rootId, tier)] += upIntent;
             }
         }
-    }
+    });
 
     // Churn schedule: membership and placement changes mid-workload.
     // Due events apply at the first window barrier at-or-after their
@@ -909,8 +929,9 @@ runFabricScenario(const FabricScenarioConfig &cfg)
         std::vector<std::string> live;
         fabric.forEachLaneId(
             [&](const std::string &lane_name, std::uint64_t id) {
-                if (!laneMon.count(id))
-                    laneMon[id] = monitor->lane(lane_name);
+                auto [lane, added] = laneMon.tryEmplace(id);
+                if (added)
+                    *lane = monitor->lane(lane_name);
                 live.push_back(lane_name);
             });
         monitor->retireLanesExcept(live);
@@ -1019,7 +1040,9 @@ runFabricScenario(const FabricScenarioConfig &cfg)
     const auto replayLaneActivity = [&] {
         fabric.drainLaneActivity(
             [&](const coord::CoordFabric::LaneEvent &e) {
-                const int lane = laneMon.at(e.lane);
+                const int *found = laneMon.find(e.lane);
+                assert(found && "lane activity on an unregistered lane");
+                const int lane = *found;
                 if (e.delivered)
                     monitor->laneDeliveredAt(lane, e.when);
                 else

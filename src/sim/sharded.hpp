@@ -167,7 +167,7 @@ class ShardedEngine
         const auto k = static_cast<std::size_t>(nShards_);
         sims_.reserve(k);
         for (int i = 0; i < nShards_; ++i) {
-            sims_.push_back(std::make_unique<Simulator>());
+            sims_.push_back(std::make_unique<ShardSim>());
             rngs_.push_back(Rng::stream(
                 seed, static_cast<std::uint64_t>(i)));
         }
@@ -197,7 +197,7 @@ class ShardedEngine
     Simulator &
     sim(int shard)
     {
-        return *sims_[static_cast<std::size_t>(shard)];
+        return sims_[static_cast<std::size_t>(shard)]->sim;
     }
 
     /**
@@ -263,7 +263,7 @@ class ShardedEngine
         for (;;) {
             Tick minNext = maxTick;
             for (auto &s : sims_)
-                minNext = std::min(minNext, s->nextEventAt());
+                minNext = std::min(minNext, s->sim.nextEventAt());
             if (minNext > until)
                 break;
             const Tick wEnd = (until - minNext < lookahead_)
@@ -280,12 +280,36 @@ class ShardedEngine
         // No pending event at or before `until` anywhere: advance
         // every clock without running anything.
         for (auto &s : sims_)
-            s->runUntil(until);
+            s->sim.runUntil(until);
         clock_ = until;
     }
 
     /** Run @p duration ticks from now(). */
     void runFor(Tick duration) { runUntil(clock_ + duration); }
+
+    /**
+     * Call @p fn(k) once for every shard k, each on that shard's own
+     * thread (shard 0 on the caller's), and return when all calls
+     * have returned. Between runs only. @p fn(k) may touch shard k's
+     * simulator and state no other call writes — the parallel form
+     * of scheduling a large workload shard by shard.
+     */
+    void
+    forEachShard(const std::function<void(int)> &fn)
+    {
+        if (nShards_ == 1) {
+            fn(0);
+            return;
+        }
+        task_ = &fn;
+        const std::uint64_t gen = ++gen_;
+        arrive(go_);
+        fn(0);
+        arrive(ran_);
+        await(drained_, gen * static_cast<std::uint64_t>(nShards_ - 1),
+              barrierSpin);
+        task_ = nullptr;
+    }
 
     /** Total events dispatched across every shard simulator. */
     std::uint64_t
@@ -293,7 +317,7 @@ class ShardedEngine
     {
         std::uint64_t n = 0;
         for (const auto &s : sims_)
-            n += s->executedEvents();
+            n += s->sim.executedEvents();
         return n;
     }
 
@@ -480,7 +504,7 @@ class ShardedEngine
     void
     shardWindow(int idx, std::uint64_t gen)
     {
-        sims_[static_cast<std::size_t>(idx)]->runUntil(windowEnd_);
+        sims_[static_cast<std::size_t>(idx)]->sim.runUntil(windowEnd_);
         arrive(ran_);
         await(ran_, gen * static_cast<std::uint64_t>(nShards_),
               barrierSpin);
@@ -500,7 +524,12 @@ class ShardedEngine
                                                : barrierSpin;
             if (quit_.load())
                 return;
-            shardWindow(idx, gen);
+            if (task_) {
+                (*task_)(idx);
+                arrive(ran_);
+            } else {
+                shardWindow(idx, gen);
+            }
             arrive(drained_);
         }
     }
@@ -514,14 +543,14 @@ class ShardedEngine
     {
         windowEnd_ = wEnd;
         if (nShards_ == 1) {
-            sims_[0]->runUntil(wEnd);
+            sims_[0]->sim.runUntil(wEnd);
             drainInto(0);
             return;
         }
-        const std::uint64_t gen = windows_ + 1;
+        const std::uint64_t gen = ++gen_;
         arrive(go_);
         // Shard 0 rides the caller's thread.
-        sims_[0]->runUntil(wEnd);
+        sims_[0]->sim.runUntil(wEnd);
         const auto parkedAt = std::chrono::steady_clock::now();
         arrive(ran_);
         await(ran_, gen * static_cast<std::uint64_t>(nShards_),
@@ -576,7 +605,7 @@ class ShardedEngine
             outbox(s, d).clear();
         const std::size_t end = arena.size();
         me.received += end - base;
-        Simulator &sim = *sims_[static_cast<std::size_t>(d)];
+        Simulator &sim = sims_[static_cast<std::size_t>(d)]->sim;
         std::size_t i = base;
         while (i < end) {
             const Tick when = arena[i].when;
@@ -617,7 +646,15 @@ class ShardedEngine
     const Tick lookahead_;
     /** Spin at barriers: every shard has a hardware thread. */
     const bool spin_;
-    std::vector<std::unique_ptr<Simulator>> sims_;
+    /** A shard's simulator on cache lines of its own: every event
+     *  writes the clock and counters, which must not share a line
+     *  with the next shard's. */
+    struct alignas(64) ShardSim
+    {
+        Simulator sim;
+    };
+
+    std::vector<std::unique_ptr<ShardSim>> sims_;
     std::vector<Rng> rngs_;
     std::vector<Sink> sinks_;
     Probe probe_;
@@ -631,11 +668,16 @@ class ShardedEngine
     Tick windowEnd_ = 0;
     bool stopped_ = false;
     std::uint64_t windows_ = 0;
+    /** Dispatches so far (windows and forEachShard calls). */
+    std::uint64_t gen_ = 0;
+    /** forEachShard's function while one runs, else null. */
+    const std::function<void(int)> *task_ = nullptr;
     std::uint64_t barrierWaitNs_ = 0;
 
     // Window barrier for the persistent workers. Cumulative counts:
-    // window g starts at go_ == g, its shards have run once ran_
-    // reaches g*K, and have drained once drained_ reaches g*(K-1).
+    // dispatch g (a window or a forEachShard call) starts at
+    // go_ == g, its shards have run once ran_ reaches g*K, and have
+    // drained once drained_ reaches g*(K-1).
     Counter go_, ran_, drained_;
     std::atomic<bool> quit_{false};
     std::atomic<int> parked_{0};

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -186,6 +187,34 @@ TEST(ShardedEngine, ProbeStopsTheRunAtAWindowBarrier)
     engine.runUntil(1000);
     EXPECT_FALSE(engine.stopped());
     EXPECT_EQ(engine.now(), 1000u);
+}
+
+TEST(ShardedEngine, ForEachShardRunsOncePerShardOnItsOwnThread)
+{
+    ShardedEngine engine(3, 10);
+    engine.sim(1).scheduleAt(5, [] {});
+    engine.runUntil(20);
+    // Between runs, each shard schedules on its own simulator from
+    // its own thread; the next run executes what they scheduled.
+    std::vector<std::thread::id> ran(3);
+    std::vector<int> calls(3, 0);
+    engine.forEachShard([&](int k) {
+        ran[static_cast<std::size_t>(k)] = std::this_thread::get_id();
+        ++calls[static_cast<std::size_t>(k)];
+        for (Tick t = 30; t <= 60; t += 10)
+            engine.sim(k).scheduleAt(t, [] {});
+    });
+    EXPECT_EQ(calls, (std::vector<int>{1, 1, 1}));
+    EXPECT_EQ(ran[0], std::this_thread::get_id());
+    EXPECT_NE(ran[1], ran[0]);
+    EXPECT_NE(ran[2], ran[0]);
+    EXPECT_NE(ran[2], ran[1]);
+    const std::uint64_t before = engine.eventsExecuted();
+    engine.runUntil(100);
+    EXPECT_EQ(engine.eventsExecuted() - before, 12u);
+    // Windows and set-up calls interleave freely.
+    engine.forEachShard([&](int k) { ++calls[static_cast<std::size_t>(k)]; });
+    EXPECT_EQ(calls, (std::vector<int>{2, 2, 2}));
 }
 
 namespace {

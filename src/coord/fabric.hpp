@@ -402,22 +402,44 @@ class CoordFabric : public CoordTransport
     void
     drainLaneActivity(const std::function<void(const LaneEvent &)> &fn)
     {
+        const auto before = [](const LaneEvent &a, const LaneEvent &b) {
+            if (a.when != b.when)
+                return a.when < b.when;
+            if (a.lane != b.lane)
+                return a.lane < b.lane;
+            if (a.delivered != b.delivered)
+                return a.delivered;
+            return a.seq < b.seq;
+        };
+        // A shard logs in its own execution order, which is already
+        // canonical unless equal ticks interleave lanes: order each
+        // log (usually just a check), then merge the logs. No two
+        // shards log the same (lane, delivered) side, so the merge
+        // has no ties and equals one sort of the union.
+        laneCursor_.assign(states.size(), 0);
+        for (auto &st : states)
+            if (!std::is_sorted(st.laneLog.begin(), st.laneLog.end(),
+                                before))
+                std::sort(st.laneLog.begin(), st.laneLog.end(), before);
         laneScratch_.clear();
-        for (auto &st : states) {
-            laneScratch_.insert(laneScratch_.end(), st.laneLog.begin(),
-                                st.laneLog.end());
-            st.laneLog.clear();
+        for (;;) {
+            const LaneEvent *next = nullptr;
+            std::size_t from = 0;
+            for (std::size_t k = 0; k < states.size(); ++k) {
+                const auto &log = states[k].laneLog;
+                if (laneCursor_[k] < log.size()
+                    && (!next || before(log[laneCursor_[k]], *next))) {
+                    next = &log[laneCursor_[k]];
+                    from = k;
+                }
+            }
+            if (!next)
+                break;
+            laneScratch_.push_back(*next);
+            ++laneCursor_[from];
         }
-        std::sort(laneScratch_.begin(), laneScratch_.end(),
-                  [](const LaneEvent &a, const LaneEvent &b) {
-                      if (a.when != b.when)
-                          return a.when < b.when;
-                      if (a.lane != b.lane)
-                          return a.lane < b.lane;
-                      if (a.delivered != b.delivered)
-                          return a.delivered;
-                      return a.seq < b.seq;
-                  });
+        for (auto &st : states)
+            st.laneLog.clear();
         for (const LaneEvent &e : laneScratch_)
             fn(e);
     }
@@ -2124,6 +2146,7 @@ class CoordFabric : public CoordTransport
     AbandonFn onAbandon;
     bool laneActivity_ = false;
     std::vector<LaneEvent> laneScratch_;     ///< drain scratch
+    std::vector<std::size_t> laneCursor_;    ///< merge position per shard
     std::vector<AbandonRecord> abandonScratch_;
     corm::sim::Logger logger{"coord.fabric"};
 };
